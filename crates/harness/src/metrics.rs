@@ -9,7 +9,6 @@
 
 use crate::fxhash::FxHashMap;
 use mspastry::{Category, LookupId};
-use netsim::EndpointId;
 
 /// Number of message categories tracked.
 pub const N_CATEGORIES: usize = 6;
@@ -50,6 +49,31 @@ struct PendingLookup {
     tracked: bool,
 }
 
+/// The set of delivered lookup ids, as one 64-bit bitmap chunk per issuer
+/// and block of 64 sequence numbers. Nodes number their lookups 1, 2, 3, …,
+/// so a delivered lookup costs about one bit; any `u64` sequence number is
+/// still represented exactly.
+#[derive(Debug, Default)]
+struct DeliveredSet {
+    chunks: FxHashMap<(u128, u64), u64>,
+}
+
+impl DeliveredSet {
+    fn chunk(id: &LookupId) -> ((u128, u64), u64) {
+        ((id.src.0, id.seq >> 6), 1 << (id.seq & 63))
+    }
+
+    fn contains(&self, id: &LookupId) -> bool {
+        let (key, bit) = Self::chunk(id);
+        self.chunks.get(&key).is_some_and(|bits| bits & bit != 0)
+    }
+
+    fn insert(&mut self, id: &LookupId) {
+        let (key, bit) = Self::chunk(id);
+        *self.chunks.entry(key).or_insert(0) |= bit;
+    }
+}
+
 /// Collects all run metrics.
 #[derive(Debug)]
 pub struct Metrics {
@@ -60,7 +84,7 @@ pub struct Metrics {
     active_now: usize,
     last_active_us: u64,
     pending: FxHashMap<LookupId, PendingLookup>,
-    delivered_ids: FxHashMap<LookupId, ()>,
+    delivered_ids: DeliveredSet,
     issued: u64,
     delivered: u64,
     incorrect: u64,
@@ -91,7 +115,7 @@ impl Metrics {
             active_now: 0,
             last_active_us: measure_start_us,
             pending: FxHashMap::default(),
-            delivered_ids: FxHashMap::default(),
+            delivered_ids: DeliveredSet::default(),
             issued: 0,
             delivered: 0,
             incorrect: 0,
@@ -163,7 +187,7 @@ impl Metrics {
 
     /// Records the first sighting of a lookup (issue or first transmission).
     pub fn sight_lookup(&mut self, id: LookupId, issued_at_us: u64) {
-        if self.delivered_ids.contains_key(&id) || self.pending.contains_key(&id) {
+        if self.delivered_ids.contains(&id) || self.pending.contains_key(&id) {
             return;
         }
         let tracked = issued_at_us >= self.measure_start_us;
@@ -195,7 +219,7 @@ impl Metrics {
             self.duplicates += 1;
             return;
         };
-        self.delivered_ids.insert(id, ());
+        self.delivered_ids.insert(&id);
         if !p.tracked {
             return;
         }
@@ -414,35 +438,6 @@ impl Report {
     }
 }
 
-/// Tracks which endpoint issued each lookup so RDP can use the true
-/// source-destination network delay.
-#[derive(Debug, Default)]
-pub struct LookupSources {
-    map: FxHashMap<LookupId, EndpointId>,
-}
-
-impl LookupSources {
-    /// Creates an empty table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records the issuing endpoint.
-    pub fn insert(&mut self, id: LookupId, src: EndpointId) {
-        self.map.entry(id).or_insert(src);
-    }
-
-    /// Looks up the issuing endpoint.
-    pub fn get(&self, id: LookupId) -> Option<EndpointId> {
-        self.map.get(&id).copied()
-    }
-
-    /// Removes a completed lookup.
-    pub fn remove(&mut self, id: LookupId) {
-        self.map.remove(&id);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -520,6 +515,48 @@ mod tests {
         let r = m.finalize(1_000_000);
         assert_eq!(r.delivered, 1);
         assert_eq!(r.duplicates, 1);
+    }
+
+    #[test]
+    fn delivered_set_splits_chunks_at_64() {
+        let mut d = DeliveredSet::default();
+        d.insert(&lid(63));
+        assert!(d.contains(&lid(63)));
+        assert!(!d.contains(&lid(64)), "seq 64 opens the next chunk");
+        assert!(!d.contains(&lid(62)));
+        d.insert(&lid(64));
+        assert!(d.contains(&lid(64)));
+        assert_eq!(d.chunks.len(), 2);
+        assert_eq!(d.chunks[&(1, 0)], 1 << 63);
+        assert_eq!(d.chunks[&(1, 1)], 1);
+    }
+
+    #[test]
+    fn delivered_set_is_exact_at_u64_max() {
+        let mut d = DeliveredSet::default();
+        d.insert(&lid(u64::MAX));
+        assert!(d.contains(&lid(u64::MAX)));
+        assert!(!d.contains(&lid(u64::MAX - 1)));
+        assert!(!d.contains(&lid(u64::MAX - 64)));
+        assert!(!d.contains(&lid(63)), "same bit, other chunk");
+        d.insert(&lid(0));
+        assert!(d.contains(&lid(0)));
+        assert_eq!(d.chunks.len(), 2);
+    }
+
+    #[test]
+    fn delivered_set_keeps_sources_apart() {
+        let mut d = DeliveredSet::default();
+        let other = |seq| LookupId { src: Id(2), seq };
+        d.insert(&lid(5));
+        assert!(d.contains(&lid(5)));
+        assert!(!d.contains(&other(5)), "same seq, different issuer");
+        d.insert(&other(5));
+        assert!(d.contains(&other(5)));
+        assert!(!d.contains(&LookupId {
+            src: Id(1 << 64 | 1),
+            seq: 5
+        }));
     }
 
     #[test]

@@ -286,7 +286,6 @@ struct World {
     /// Join start time per endpoint (`NO_JOIN` once activated), indexed by
     /// endpoint id.
     join_started: Vec<u64>,
-    src_ep: FxHashMap<LookupId, EndpointId>,
     scripted: Vec<ScriptedLookup>,
     skipped_scripted: u64,
     deliveries: Vec<DeliveryRecord>,
@@ -430,7 +429,6 @@ impl Runner {
                 active_list: Vec::new(),
                 active_pos: Vec::new(),
                 join_started: Vec::new(),
-                src_ep: FxHashMap::default(),
                 scripted,
                 skipped_scripted: 0,
                 deliveries: Vec::new(),
@@ -792,7 +790,9 @@ impl World {
     fn apply_deliver(&mut self, now: u64, ep: EndpointId, d: Delivery) {
         let deliverer = self.node_ids[ep];
         let correct = self.oracle.root_of(d.key) == Some(deliverer);
-        let direct = match self.src_ep.get(&d.id) {
+        // The issuer's endpoint: identifiers map to one endpoint for the
+        // whole run, and the map outlives the issuer's session.
+        let direct = match self.ep_of_id.get(&d.id.src.0) {
             Some(&src) if src != ep => self.net.base_delay_us(src, ep),
             _ => 0,
         };
@@ -857,9 +857,6 @@ impl World {
         } = &msg
         {
             self.metrics.sight_lookup(*id, *issued_at_us);
-            if let Some(&src) = self.ep_of_id.get(&id.src.0) {
-                self.src_ep.entry(*id).or_insert(src);
-            }
         }
         let Some(&dst) = self.ep_of_id.get(&to.0) else {
             return; // message to a node that never existed (cannot happen)
@@ -920,6 +917,43 @@ mod tests {
         // 30 nodes fit inside one leaf set: single-hop routes, and ~1/30 of
         // the lookups root at the issuer itself (0 hops).
         assert!(r.mean_hops > 0.8, "hops {}", r.mean_hops);
+    }
+
+    #[test]
+    fn rdp_of_a_lookup_outliving_its_issuer_uses_the_issuers_base_delay() {
+        let cfg = quick_config(static_trace(2, 10 * 60 * 1_000_000));
+        let warmup = cfg.warmup_us;
+        let mut r = Runner::new(cfg);
+        r.on_trace_join(0, 0);
+        r.on_trace_join(1, 1);
+        let (issuer, deliverer) = (0, 1);
+        let src = r.world.node_ids[issuer];
+        // The issuer crashes while its lookup is still in flight.
+        r.on_trace_fail(warmup, 0);
+        assert!(r.drivers[issuer].is_none());
+        let issued_at_us = warmup + 1_000;
+        let now = issued_at_us + 50_000;
+        let base = r.world.net.base_delay_us(issuer, deliverer);
+        r.world.apply_deliver(
+            now,
+            deliverer,
+            Delivery {
+                id: LookupId { src, seq: 1 },
+                key: Id(7),
+                payload: 0,
+                hops: 3,
+                issued_at_us,
+                replica_set: Vec::new(),
+            },
+        );
+        let report = r.world.metrics.finalize(now);
+        assert_eq!(report.delivered, 1);
+        let expected = (now - issued_at_us) as f64 / base as f64;
+        assert!(
+            (report.mean_rdp - expected).abs() < 1e-12,
+            "rdp {} vs {expected}",
+            report.mean_rdp
+        );
     }
 
     #[test]

@@ -14,7 +14,7 @@ use crate::messages::{LookupId, Message};
 use crate::node::Node;
 use crate::pns::{MeasurePurpose, NnState};
 use crate::probes::{ProbeKind, ProbeManager, TimeoutVerdict};
-use crate::routing::{route, NextHop};
+use crate::routing::NextHop;
 use crate::routing_table::DIST_UNKNOWN;
 use crate::tuning::SelfTuner;
 use obs::HopKind;
@@ -221,8 +221,7 @@ impl Node {
         if !rows[max_row].contains(&self.ctx.id) {
             rows[max_row].push(self.ctx.id);
         }
-        let excluded = self.excluded_set(&[]);
-        match route(&self.rt, &self.ls, joiner, &|n| excluded.contains(&n)) {
+        match self.route_around(joiner, &[]) {
             NextHop::Local => {
                 if self.ctx.active {
                     let mut leaf_set = self.ls.members();

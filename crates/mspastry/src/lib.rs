@@ -70,6 +70,7 @@ mod reliability;
 pub mod routing;
 pub mod routing_table;
 pub mod rto;
+mod seen;
 pub mod tuning;
 
 pub use config::Config;

@@ -286,9 +286,16 @@ impl Node {
     /// The leaf-set members closest to `key` (ring-distance order, up to 8),
     /// for application-level replication.
     pub(crate) fn replica_set(&self, key: Key) -> Vec<NodeId> {
+        const REPLICAS: usize = 8;
+        let order = |m: &NodeId| (m.ring_dist(key), m.0);
         let mut members = self.ls.members();
-        members.sort_by_key(|m| (m.ring_dist(key), m.0));
-        members.truncate(8);
+        if members.len() > REPLICAS {
+            members.select_nth_unstable_by_key(REPLICAS - 1, order);
+            members.truncate(REPLICAS);
+        }
+        // Members are distinct, so the key is a total order and an unstable
+        // sort is deterministic.
+        members.sort_unstable_by_key(order);
         members
     }
 

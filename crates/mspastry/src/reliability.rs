@@ -16,10 +16,8 @@ use crate::node::Node;
 use crate::probes::ProbeKind;
 use crate::routing::{route, NextHop};
 use crate::rto::RtoTable;
+use crate::seen::SeenWindow;
 use obs::{HopKind, NO_PEER};
-use std::collections::VecDeque;
-
-pub(crate) const SEEN_CAP: usize = 16_384;
 
 /// A lookup buffered or in flight at this node, awaiting a per-hop ack.
 #[derive(Debug, Clone)]
@@ -53,8 +51,7 @@ pub(crate) struct BufferedLookup {
 pub(crate) struct Reliability {
     pub(crate) suspected: FxHashSet<NodeId>,
     pub(crate) pending: FxHashMap<LookupId, PendingLookup>,
-    pub(crate) seen: FxHashSet<LookupId>,
-    pub(crate) seen_order: VecDeque<LookupId>,
+    pub(crate) seen: SeenWindow,
     pub(crate) buffered: Vec<BufferedLookup>,
     pub(crate) lookup_seq: u64,
     pub(crate) rtos: RtoTable,
@@ -65,23 +62,10 @@ impl Reliability {
         Reliability {
             suspected: FxHashSet::default(),
             pending: FxHashMap::default(),
-            seen: FxHashSet::default(),
-            seen_order: VecDeque::new(),
+            seen: SeenWindow::default(),
             buffered: Vec::new(),
             lookup_seq: 0,
             rtos: RtoTable::new(),
-        }
-    }
-
-    /// Records a lookup id in the capped duplicate-suppression window.
-    pub(crate) fn note_seen(&mut self, id: LookupId) {
-        if self.seen.insert(id) {
-            self.seen_order.push_back(id);
-            while self.seen_order.len() > SEEN_CAP {
-                if let Some(old) = self.seen_order.pop_front() {
-                    self.seen.remove(&old);
-                }
-            }
         }
     }
 }
@@ -95,7 +79,7 @@ impl Node {
             src: self.ctx.id,
             seq: self.reliability.lookup_seq,
         };
-        self.reliability.note_seen(id);
+        self.reliability.seen.insert(id);
         if self.ctx.obs.sampled(id) {
             let ev = self.ctx.hop_ev(id, HopKind::Issue, NO_PEER, 0, 0, 0, "");
             self.ctx.obs.hop(ev);
@@ -186,10 +170,9 @@ impl Node {
         if self.ctx.cfg.per_hop_acks && wants_acks {
             self.send(from, Message::Ack { id }, fx);
         }
-        if self.reliability.seen.contains(&id) {
+        if !self.reliability.seen.insert(id) {
             return; // duplicate copy of a rerouted lookup
         }
-        self.reliability.note_seen(id);
         if !self.ctx.active {
             self.buffer_lookup(
                 BufferedLookup {
@@ -255,8 +238,7 @@ impl Node {
         is_retransmit: bool,
         fx: &mut Effects,
     ) {
-        let excl = self.excluded_set(&excluded);
-        let (next, empty_slot) = match route(&self.rt, &self.ls, key, &|n| excl.contains(&n)) {
+        let (next, empty_slot) = match self.route_around(key, &excluded) {
             NextHop::Local => {
                 if !self.ctx.active || !self.ls.covers(key) {
                     let reason = DropReason::NoRoute;
@@ -401,14 +383,11 @@ impl Node {
             // speculative self-delivery (every closer member suspected, none
             // confirmed dead), use the extended budget so the backed-off
             // retransmissions outlast the probe verdict.
-            let reroute_self_delivers = {
-                let mut excl = self.excluded_set(&p.excluded);
-                excl.insert(missed);
-                matches!(
-                    route(&self.rt, &self.ls, p.key, &|n| excl.contains(&n)),
-                    NextHop::Local
-                )
-            };
+            let suspected = &self.reliability.suspected;
+            let excluded =
+                |n: NodeId| n == missed || suspected.contains(&n) || p.excluded.contains(&n);
+            let reroute_self_delivers =
+                matches!(route(&self.rt, &self.ls, p.key, &excluded), NextHop::Local);
             let budget = if self.ctx.cfg.exclude_root_on_ack_timeout && !reroute_self_delivers {
                 self.ctx.cfg.root_retx_attempts
             } else {
@@ -537,10 +516,17 @@ impl Node {
         );
     }
 
-    pub(crate) fn excluded_set(&self, extra: &[NodeId]) -> FxHashSet<NodeId> {
-        let mut s: FxHashSet<NodeId> = self.reliability.suspected.clone();
-        s.extend(extra.iter().copied());
-        s
+    /// Routes `key` around the suspected nodes and `excluded`, testing both
+    /// in place rather than collecting their union.
+    pub(crate) fn route_around(&self, key: Key, excluded: &[NodeId]) -> NextHop {
+        let suspected = &self.reliability.suspected;
+        if suspected.is_empty() && excluded.is_empty() {
+            route(&self.rt, &self.ls, key, &|_| false)
+        } else {
+            route(&self.rt, &self.ls, key, &|n| {
+                suspected.contains(&n) || excluded.contains(&n)
+            })
+        }
     }
 }
 
@@ -550,20 +536,28 @@ mod tests {
     use crate::config::Config;
     use crate::events::Event;
     use crate::id::Id;
+    use crate::seen::SEEN_CAP;
 
     #[test]
     fn seen_window_is_capped_and_evicts_oldest() {
         let mut r = Reliability::new();
         let id = |seq| LookupId { src: Id(1), seq };
         for seq in 0..(SEEN_CAP as u64 + 5) {
-            r.note_seen(id(seq));
+            assert!(r.seen.insert(id(seq)));
         }
         assert_eq!(r.seen.len(), SEEN_CAP);
         assert!(!r.seen.contains(&id(0)), "oldest entries evicted");
         assert!(r.seen.contains(&id(SEEN_CAP as u64 + 4)));
-        // Re-noting a seen id must not grow the order queue.
-        r.note_seen(id(SEEN_CAP as u64 + 4));
-        assert_eq!(r.seen_order.len(), SEEN_CAP);
+        for seq in 0..5 {
+            assert!(!r.seen.contains(&id(seq)), "seq {seq} evicted");
+        }
+        for seq in 5..(SEEN_CAP as u64 + 5) {
+            assert!(r.seen.contains(&id(seq)), "seq {seq} kept");
+        }
+        // Re-noting a seen id must not grow the window or evict anything.
+        assert!(!r.seen.insert(id(SEEN_CAP as u64 + 4)));
+        assert_eq!(r.seen.len(), SEEN_CAP);
+        assert!(r.seen.contains(&id(5)));
     }
 
     #[test]

@@ -48,7 +48,7 @@ use std::collections::{BinaryHeap, HashMap};
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
+use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -107,7 +107,8 @@ impl UdpNode {
     /// Binds a UDP socket and spawns the node's event loop, telemetry off.
     ///
     /// `seed` is an existing overlay node (identifier + address); `None`
-    /// bootstraps a new overlay.
+    /// bootstraps a new overlay. Returns once the event loop has handled the
+    /// join, so a bootstrap node is active on return.
     ///
     /// # Errors
     ///
@@ -130,7 +131,8 @@ impl UdpNode {
     ///
     /// # Errors
     ///
-    /// Returns any socket or metrics-listener bind error.
+    /// Returns any socket or metrics-listener bind error, or an error if the
+    /// event loop exits before handling the join.
     pub fn spawn_with<A: ToSocketAddrs>(
         id: NodeId,
         cfg: Config,
@@ -152,6 +154,9 @@ impl UdpNode {
         };
         let telemetry_on = telemetry.enabled();
         let stat_interval = telemetry.stat_interval;
+        // The event loop signals once it has stepped the initial join, so a
+        // bootstrap node is already active when `spawn_with` returns.
+        let (joined_tx, joined_rx) = sync_channel(1);
         let thread = std::thread::Builder::new()
             .name(format!("mspastry-{id}"))
             .spawn(move || {
@@ -187,8 +192,12 @@ impl UdpNode {
                         obs,
                     },
                 }
-                .run(seed)
+                .run(seed, joined_tx)
             })?;
+        if joined_rx.recv().is_err() {
+            let _ = thread.join();
+            return Err(io::Error::other("node event loop exited before joining"));
+        }
         Ok(UdpNode {
             id,
             local_addr,
@@ -381,13 +390,14 @@ impl EventLoop {
         self.driver.step(now, event, &mut host);
     }
 
-    fn run(mut self, seed: Option<(NodeId, SocketAddr)>) {
+    fn run(mut self, seed: Option<(NodeId, SocketAddr)>, joined: SyncSender<()>) {
         if let Some((seed_id, seed_addr)) = seed {
             self.io.addrs.insert(seed_id.0, seed_addr);
         }
         self.step(Event::Join {
             seed: seed.map(|(id, _)| id),
         });
+        let _ = joined.send(());
 
         loop {
             // Local commands.
