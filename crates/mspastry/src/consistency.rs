@@ -82,6 +82,7 @@ impl Node {
     pub(crate) fn on_join(&mut self, seed: Option<NodeId>, fx: &mut Effects) {
         self.consistency.join_seed = seed;
         self.maintenance.tuner = SelfTuner::new(&self.ctx.cfg, self.ctx.now_us);
+        self.peers.reset_hints();
         // Periodic timers, staggered to avoid fleet-wide synchronisation.
         let stagger = |rng: &mut SmallRng, period: u64| rng.gen_range(1..=period.max(1));
         let hb = stagger(&mut self.ctx.rng, self.ctx.cfg.t_ls_us);
@@ -269,18 +270,18 @@ impl Node {
                 let d = nn_dists
                     .get(&n)
                     .copied()
-                    .unwrap_or_else(|| self.measurement.known_dist(n));
+                    .unwrap_or_else(|| self.peers.known_dist(n));
                 self.rt.offer(n, d);
             }
         }
         for &n in &leaf_set {
-            let d = self.measurement.known_dist(n);
+            let d = self.peers.known_dist(n);
             self.rt.offer(n, d);
             self.ls.add(n);
         }
         // The replying root spoke to us directly.
         self.ls.add(from);
-        self.rt.offer(from, self.measurement.known_dist(from));
+        self.rt.offer(from, self.peers.known_dist(from));
         // Probe every leaf-set member before becoming active.
         for m in self.ls.members() {
             if self.probe(m, ProbeKind::LeafSet, true, fx) {
@@ -365,7 +366,7 @@ impl Node {
         self.consistency.unfail(j);
         // L_i.add({j}); R_i.add({j}) — j spoke to us directly.
         self.ls.add(j);
-        self.rt.offer(j, self.measurement.known_dist(j));
+        self.rt.offer(j, self.peers.known_dist(j));
         // Probe members the sender believes faulty (to confirm / recover from
         // false positives), then drop them from the leaf set.
         for &n in &failed {
@@ -488,9 +489,8 @@ impl Node {
         self.rt.remove(j);
         self.consistency.insert_failed(j);
         self.maintenance.tuner.record_failure(self.ctx.now_us);
-        self.maintenance.tuner.forget(j);
+        self.peers.forget_faulty(j);
         self.reliability.rtos.forget(j);
-        self.measurement.known_dists.remove(&j);
         self.measurement.measurer.cancel(j);
         self.reliability.suspected.remove(&j);
         if was_ls_member && self.ctx.active && announce {

@@ -64,6 +64,7 @@ mod maintenance;
 mod measurement;
 pub mod messages;
 pub mod node;
+mod peers;
 pub mod pns;
 pub mod probes;
 mod reliability;

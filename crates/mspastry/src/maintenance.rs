@@ -3,13 +3,13 @@
 //! routing-table maintenance, and the self-tuning tick that recomputes the
 //! probing period `T_rt` from the observed failure rate.
 //!
-//! Probe suppression lives here too: regular traffic recorded in
-//! `last_heard`/`last_sent` postpones heartbeats and skips liveness probes.
+//! Probe suppression lives here too: regular traffic, whose times the
+//! node's per-peer table records, postpones heartbeats and skips liveness
+//! probes.
 
 use crate::config::Config;
 use crate::diag::ProbeCause;
 use crate::events::{Effects, TimerKind};
-use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::id::NodeId;
 use crate::messages::Message;
 use crate::node::Node;
@@ -20,8 +20,6 @@ use rand::Rng;
 /// Timer/traffic bookkeeping owned by the maintenance layer.
 #[derive(Debug)]
 pub(crate) struct Maintenance {
-    pub(crate) last_heard: FxHashMap<NodeId, u64>,
-    pub(crate) last_sent: FxHashMap<NodeId, u64>,
     pub(crate) tuner: SelfTuner,
     pub(crate) t_rt_us: u64,
 }
@@ -29,8 +27,6 @@ pub(crate) struct Maintenance {
 impl Maintenance {
     pub(crate) fn new(cfg: &Config) -> Self {
         Maintenance {
-            last_heard: FxHashMap::default(),
-            last_sent: FxHashMap::default(),
             tuner: SelfTuner::new(cfg, 0),
             t_rt_us: cfg.fixed_t_rt_us,
         }
@@ -50,10 +46,9 @@ impl Node {
         let mut next_tick = self.ctx.cfg.t_ls_us;
         if let Some(left) = self.ls.left_neighbor() {
             let due = if self.ctx.cfg.probe_suppression {
-                self.maintenance
-                    .last_sent
-                    .get(&left)
-                    .map(|&t| t.saturating_add(self.ctx.cfg.t_ls_us))
+                self.peers
+                    .sent(left)
+                    .map(|t| t.saturating_add(self.ctx.cfg.t_ls_us))
                     .unwrap_or(self.ctx.now_us)
             } else {
                 self.ctx.now_us
@@ -67,12 +62,7 @@ impl Node {
         }
         fx.timer(next_tick, TimerKind::Heartbeat);
         if let Some(right) = self.ls.right_neighbor() {
-            let last = self
-                .maintenance
-                .last_heard
-                .get(&right)
-                .copied()
-                .unwrap_or(0);
+            let last = self.peers.heard(right).unwrap_or(0);
             if self.ctx.now_us.saturating_sub(last) > self.ctx.cfg.t_ls_us + self.ctx.cfg.t_o_us {
                 // SUSPECT-FAULTY (Fig. 2): silence from the right neighbour.
                 if self.probe(right, ProbeKind::LeafSet, true, fx) {
@@ -92,11 +82,11 @@ impl Node {
         }
         let targets: Vec<NodeId> = self.rt.entries().map(|e| e.id).collect();
         for j in targets {
-            let suppressed =
-                self.ctx.cfg.probe_suppression
-                    && self.maintenance.last_heard.get(&j).is_some_and(|&t| {
-                        self.ctx.now_us.saturating_sub(t) < self.maintenance.t_rt_us
-                    });
+            let suppressed = self.ctx.cfg.probe_suppression
+                && self
+                    .peers
+                    .heard(j)
+                    .is_some_and(|t| self.ctx.now_us.saturating_sub(t) < self.maintenance.t_rt_us);
             if !suppressed {
                 self.probe(j, ProbeKind::Liveness, true, fx);
             }
@@ -123,31 +113,35 @@ impl Node {
         if !self.ctx.active || !self.ctx.cfg.self_tuning {
             return;
         }
-        let state = self.routing_state_ids();
-        let m = state.len();
+        // The distinct routing-state members (the table, plus the leaf-set
+        // members it does not hold) and their hints.
+        let (rt, ls) = (&self.rt, &self.ls);
+        let mut m = 0;
+        let mut hints = Vec::new();
+        for n in rt
+            .entries()
+            .map(|e| e.id)
+            .chain(ls.iter().filter(|&n| !rt.contains(n)))
+        {
+            m += 1;
+            hints.extend(self.peers.hint(n));
+        }
+        let now = self.ctx.now_us;
         self.maintenance.t_rt_us = self
             .maintenance
             .tuner
-            .recompute(&self.ctx.cfg, self.ctx.now_us, m, &self.ls, &state)
+            .recompute(&self.ctx.cfg, now, m, ls, hints)
             .max(self.ctx.cfg.t_rt_floor_us());
         self.ctx.obs.t_rt(self.maintenance.t_rt_us);
-        // Opportunistic pruning of per-peer maps.
-        let keep: FxHashSet<NodeId> = state.into_iter().collect();
-        let now = self.ctx.now_us;
+        // Opportunistic pruning of per-peer state.
         let horizon = 4 * self.ctx.cfg.t_ls_us;
-        self.maintenance
-            .last_heard
-            .retain(|n, &mut t| keep.contains(n) || now.saturating_sub(t) < horizon);
-        self.maintenance
-            .last_sent
-            .retain(|n, &mut t| keep.contains(n) || now.saturating_sub(t) < horizon);
+        self.peers
+            .prune(now, horizon, self.ctx.cfg.rt_maintenance_period_us, |n| {
+                rt.contains(n) || ls.contains(n)
+            });
         self.consistency
             .repair_paced
             .retain(|_, &mut t| now.saturating_sub(t) < horizon);
-        let dist_horizon = self.ctx.cfg.rt_maintenance_period_us;
-        self.measurement
-            .known_dists
-            .retain(|n, &mut (_, at)| keep.contains(n) || now.saturating_sub(at) < dist_horizon);
     }
 
     // ----- passive RT exchange handlers -------------------------------------
@@ -192,7 +186,7 @@ impl Node {
 
     pub(crate) fn note_hint(&mut self, from: NodeId, hint: Option<u64>) {
         if let Some(h) = hint {
-            self.maintenance.tuner.note_hint(from, h);
+            self.peers.note_hint(from, h);
         }
     }
 }
@@ -221,22 +215,5 @@ mod tests {
         }
         n.note_hint(Id(2), Some(12_000_000));
         n.note_hint(Id(3), None); // must be a no-op, not a panic
-    }
-
-    #[test]
-    fn self_tune_prunes_stale_peer_maps() {
-        let mut n = Node::new(Id(1), cfg());
-        let mut fx = Effects::new();
-        n.handle(0, Event::Join { seed: None }, &mut fx);
-        // A peer outside the routing state, heard from long ago.
-        n.maintenance.last_heard.insert(Id(999), 1);
-        n.maintenance.last_sent.insert(Id(999), 1);
-        let far = 100 * n.config().t_ls_us;
-        n.handle(far, Event::Timer(TimerKind::SelfTune), &mut fx);
-        assert!(
-            !n.maintenance.last_heard.contains_key(&Id(999)),
-            "stale non-member pruned from last_heard"
-        );
-        assert!(!n.maintenance.last_sent.contains_key(&Id(999)));
     }
 }

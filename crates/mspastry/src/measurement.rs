@@ -4,12 +4,10 @@
 //! runs before sending its join request.
 
 use crate::events::{Effects, TimerKind};
-use crate::fxhash::FxHashMap;
 use crate::id::NodeId;
 use crate::messages::Message;
 use crate::node::Node;
 use crate::pns::{DistanceMeasurer, MeasurePurpose, MeasureTimeout, NnState, NnStep, ReplyOutcome};
-use crate::routing_table::DIST_UNKNOWN;
 
 pub(crate) const MAX_CONCURRENT_MEASUREMENTS: usize = 64;
 
@@ -17,10 +15,6 @@ pub(crate) const MAX_CONCURRENT_MEASUREMENTS: usize = 64;
 #[derive(Debug)]
 pub(crate) struct Measurement {
     pub(crate) measurer: DistanceMeasurer,
-    /// Measured round-trip distances with their measurement time; doubles
-    /// as a negative cache so rejected routing-table candidates are not
-    /// re-measured at every maintenance round.
-    pub(crate) known_dists: FxHashMap<NodeId, (u64, u64)>,
     pub(crate) nn: Option<NnState>,
 }
 
@@ -28,17 +22,8 @@ impl Measurement {
     pub(crate) fn new() -> Self {
         Measurement {
             measurer: DistanceMeasurer::new(),
-            known_dists: FxHashMap::default(),
             nn: None,
         }
-    }
-
-    /// The cached distance to `n`, or [`DIST_UNKNOWN`] if never measured.
-    pub(crate) fn known_dist(&self, n: NodeId) -> u64 {
-        self.known_dists
-            .get(&n)
-            .map(|&(d, _)| d)
-            .unwrap_or(DIST_UNKNOWN)
     }
 }
 
@@ -145,9 +130,7 @@ impl Node {
         rtt: u64,
         fx: &mut Effects,
     ) {
-        self.measurement
-            .known_dists
-            .insert(target, (rtt, self.ctx.now_us));
+        self.peers.note_dist(target, rtt, self.ctx.now_us);
         self.ctx.obs.rtt_sample(rtt);
         self.reliability.rtos.update(target, rtt);
         match purpose {
@@ -169,9 +152,7 @@ impl Node {
 
     /// Symmetric probing: the peer measured us; reuse its value.
     pub(crate) fn on_distance_report(&mut self, from: NodeId, rtt_us: u64) {
-        self.measurement
-            .known_dists
-            .insert(from, (rtt_us, self.ctx.now_us));
+        self.peers.note_dist(from, rtt_us, self.ctx.now_us);
         self.rt.offer(from, rtt_us);
     }
 
@@ -182,7 +163,7 @@ impl Node {
         // A fresh cached measurement answers without new probes (this also
         // stops rejected candidates from being re-measured at every
         // maintenance round).
-        if let Some(&(d, at)) = self.measurement.known_dists.get(&n) {
+        if let Some((d, at)) = self.peers.dist(n) {
             if self.ctx.now_us.saturating_sub(at) < self.ctx.cfg.rt_maintenance_period_us {
                 self.rt.offer(n, d);
                 return;
@@ -252,7 +233,7 @@ impl Node {
                 // Seed the routing table distances with everything measured.
                 if let Some(nn) = self.measurement.nn.take() {
                     for (&n, &d) in nn.measured() {
-                        self.measurement.known_dists.insert(n, (d, self.ctx.now_us));
+                        self.peers.note_dist(n, d, self.ctx.now_us);
                     }
                 }
                 self.send_join_request(seed, fx);
@@ -267,6 +248,7 @@ mod tests {
     use crate::config::Config;
     use crate::events::{Action, Event};
     use crate::id::Id;
+    use crate::routing_table::DIST_UNKNOWN;
 
     fn cfg() -> Config {
         Config {
@@ -282,7 +264,7 @@ mod tests {
         n.handle(0, Event::Join { seed: None }, &mut fx);
         let _ = fx.drain();
         let candidate = Id(77 << 100);
-        n.measurement.known_dists.insert(candidate, (1234, 0));
+        n.peers.note_dist(candidate, 1234, 0);
         n.handle(
             10,
             Event::Receive {
@@ -308,9 +290,9 @@ mod tests {
             n.routing_table().contains(candidate),
             "candidate inserted from the cache"
         );
-        assert_eq!(n.measurement.known_dist(candidate), 1234);
+        assert_eq!(n.peers.known_dist(candidate), 1234);
         assert_eq!(
-            n.measurement.known_dist(Id(555)),
+            n.peers.known_dist(Id(555)),
             DIST_UNKNOWN,
             "unmeasured nodes report DIST_UNKNOWN"
         );

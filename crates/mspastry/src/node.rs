@@ -31,6 +31,7 @@ use crate::leaf_set::LeafSet;
 use crate::maintenance::Maintenance;
 use crate::measurement::Measurement;
 use crate::messages::{LookupId, Message};
+use crate::peers::PeerTable;
 use crate::reliability::Reliability;
 use crate::routing_table::RoutingTable;
 use obs::{HopEvent, HopKind};
@@ -88,6 +89,7 @@ pub struct Node {
     pub(crate) reliability: Reliability,
     pub(crate) maintenance: Maintenance,
     pub(crate) measurement: Measurement,
+    pub(crate) peers: PeerTable,
 }
 
 impl Node {
@@ -119,6 +121,7 @@ impl Node {
             reliability: Reliability::new(),
             maintenance,
             measurement: Measurement::new(),
+            peers: PeerTable::default(),
             ctx: Ctx {
                 id,
                 cfg,
@@ -181,7 +184,7 @@ impl Node {
     // ----- dispatch ---------------------------------------------------------
 
     fn on_receive(&mut self, from: NodeId, msg: Message, fx: &mut Effects) {
-        self.maintenance.last_heard.insert(from, self.ctx.now_us);
+        self.peers.note_heard(from, self.ctx.now_us);
         self.reliability.suspected.remove(&from);
         match msg {
             Message::JoinRequest { joiner, rows, hops } => {
@@ -206,7 +209,7 @@ impl Node {
             }
             Message::Heartbeat { trt_hint } => {
                 self.note_hint(from, trt_hint);
-                // Liveness only; last_heard was already updated.
+                // Liveness only; the heard time was already updated.
             }
             Message::RtProbe { nonce } => self.on_rt_probe(from, nonce, fx),
             Message::RtProbeReply { trt_hint, .. } => {
@@ -279,7 +282,7 @@ impl Node {
 
     pub(crate) fn send(&mut self, to: NodeId, msg: Message, fx: &mut Effects) {
         debug_assert_ne!(to, self.ctx.id, "node must not message itself");
-        self.maintenance.last_sent.insert(to, self.ctx.now_us);
+        self.peers.note_sent(to, self.ctx.now_us);
         fx.send(to, msg);
     }
 

@@ -64,7 +64,7 @@ pub fn route(
     // strictly closer to the key that preserves the prefix length.
     let own_dist = own.ring_dist(key);
     let mut best: Option<(usize, u128, NodeId)> = None;
-    let candidates = rt.entries().map(|e| e.id).chain(ls.members());
+    let candidates = rt.entries().map(|e| e.id).chain(ls.iter());
     for j in candidates {
         if excluded(j) || j == own {
             continue;

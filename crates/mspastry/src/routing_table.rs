@@ -39,12 +39,23 @@ pub enum InsertOutcome {
 }
 
 /// A Pastry routing table.
+///
+/// The slots live in one flat row-major vector, with an occupancy count per
+/// row, so a node's table is a single allocation. Only about `log_{2^b} N`
+/// rows are ever occupied, and iteration stops after the last of them.
 #[derive(Debug, Clone)]
 pub struct RoutingTable {
     own: NodeId,
     b: u8,
     cols: usize,
-    rows: Vec<Vec<Option<RtEntry>>>,
+    /// `rows × cols` slots; slot `(r, c)` is at `r * cols + c`.
+    slots: Vec<Option<RtEntry>>,
+    /// Occupied slots per row.
+    row_len: Vec<u16>,
+    /// Occupied slots in total.
+    len: usize,
+    /// One past the last occupied row (0 when empty).
+    rows_used: usize,
 }
 
 impl RoutingTable {
@@ -56,18 +67,16 @@ impl RoutingTable {
             own,
             b,
             cols,
-            rows: vec![vec![None; cols]; n_rows],
+            slots: vec![None; n_rows * cols],
+            row_len: vec![0; n_rows],
+            len: 0,
+            rows_used: 0,
         }
     }
 
     /// The local node's identifier.
     pub fn own(&self) -> NodeId {
         self.own
-    }
-
-    /// Number of rows.
-    pub fn row_count(&self) -> usize {
-        self.rows.len()
     }
 
     /// Number of columns (2^b).
@@ -86,9 +95,13 @@ impl RoutingTable {
         Some((row, col))
     }
 
-    /// The entry at `(row, col)`, if any.
+    /// The entry at `(row, col)`, if any; `None` for a position outside the
+    /// table.
     pub fn get(&self, row: usize, col: u8) -> Option<RtEntry> {
-        self.rows.get(row).and_then(|r| r[col as usize])
+        if row >= self.row_len.len() || col as usize >= self.cols {
+            return None;
+        }
+        self.slots[row * self.cols + col as usize]
     }
 
     /// The entry holding `id`, if present.
@@ -111,10 +124,13 @@ impl RoutingTable {
         let Some((row, col)) = self.slot_of(id) else {
             return InsertOutcome::SelfId;
         };
-        let slot = &mut self.rows[row][col as usize];
+        let slot = &mut self.slots[row * self.cols + col as usize];
         match slot {
             None => {
                 *slot = Some(RtEntry { id, distance_us });
+                self.row_len[row] += 1;
+                self.len += 1;
+                self.rows_used = self.rows_used.max(row + 1);
                 InsertOutcome::InsertedEmpty
             }
             Some(e) if e.id == id => {
@@ -138,43 +154,59 @@ impl RoutingTable {
 
     /// Removes `id` from the table; returns `true` if it was present.
     pub fn remove(&mut self, id: NodeId) -> bool {
-        if let Some((row, col)) = self.slot_of(id) {
-            let slot = &mut self.rows[row][col as usize];
-            if slot.map(|e| e.id) == Some(id) {
-                *slot = None;
-                return true;
-            }
+        let Some((row, col)) = self.slot_of(id) else {
+            return false;
+        };
+        let slot = &mut self.slots[row * self.cols + col as usize];
+        if slot.map(|e| e.id) != Some(id) {
+            return false;
         }
-        false
+        *slot = None;
+        self.row_len[row] -= 1;
+        self.len -= 1;
+        while self.rows_used > 0 && self.row_len[self.rows_used - 1] == 0 {
+            self.rows_used -= 1;
+        }
+        true
     }
 
-    /// Iterates over all entries.
+    /// Iterates over all entries, row by row in column order.
     pub fn entries(&self) -> impl Iterator<Item = RtEntry> + '_ {
-        self.rows.iter().flatten().flatten().copied()
+        self.slots[..self.rows_used * self.cols]
+            .iter()
+            .flatten()
+            .copied()
     }
 
     /// Number of occupied slots.
     pub fn len(&self) -> usize {
-        self.rows.iter().flatten().flatten().count()
+        self.len
     }
 
     /// `true` if the table has no entries.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.len == 0
     }
 
     /// The non-empty entries of row `r` (nodeIds only).
     pub fn row_ids(&self, r: usize) -> Vec<NodeId> {
-        self.rows
-            .get(r)
-            .map(|row| row.iter().flatten().map(|e| e.id).collect())
-            .unwrap_or_default()
+        if r >= self.rows_used || self.row_len[r] == 0 {
+            return Vec::new();
+        }
+        let mut ids = Vec::with_capacity(self.row_len[r] as usize);
+        ids.extend(
+            self.slots[r * self.cols..(r + 1) * self.cols]
+                .iter()
+                .flatten()
+                .map(|e| e.id),
+        );
+        ids
     }
 
     /// Indices of rows that contain at least one entry.
     pub fn occupied_rows(&self) -> Vec<usize> {
-        (0..self.rows.len())
-            .filter(|&r| self.rows[r].iter().any(Option::is_some))
+        (0..self.rows_used)
+            .filter(|&r| self.row_len[r] > 0)
             .collect()
     }
 
@@ -197,7 +229,7 @@ impl RoutingTable {
 mod tests {
     use super::*;
     use rand::rngs::SmallRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn own() -> NodeId {
         Id(0x5000_0000_0000_0000_0000_0000_0000_0000)
@@ -309,5 +341,150 @@ mod tests {
             (2..=6).contains(&occ),
             "occupied rows {occ} for N=1000, b=4"
         );
+    }
+
+    /// The nested-`Vec` table the flat layout replaced, kept as the
+    /// reference model.
+    struct Model {
+        own: NodeId,
+        b: u8,
+        rows: Vec<Vec<Option<RtEntry>>>,
+    }
+
+    impl Model {
+        fn new(own: NodeId, b: u8) -> Self {
+            Model {
+                own,
+                b,
+                rows: vec![vec![None; 1 << b]; Id::rows(b)],
+            }
+        }
+
+        fn slot_of(&self, id: NodeId) -> Option<(usize, u8)> {
+            let row = self.own.shared_prefix_len(id, self.b);
+            (id != self.own).then(|| (row, id.digit(row, self.b)))
+        }
+
+        fn offer(&mut self, id: NodeId, distance_us: u64) -> InsertOutcome {
+            let Some((row, col)) = self.slot_of(id) else {
+                return InsertOutcome::SelfId;
+            };
+            let slot = &mut self.rows[row][col as usize];
+            match slot {
+                None => {
+                    *slot = Some(RtEntry { id, distance_us });
+                    InsertOutcome::InsertedEmpty
+                }
+                Some(e) if e.id == id => {
+                    if distance_us != DIST_UNKNOWN {
+                        e.distance_us = distance_us;
+                    }
+                    InsertOutcome::Refreshed
+                }
+                Some(e) if distance_us < e.distance_us => {
+                    let old = e.id;
+                    *slot = Some(RtEntry { id, distance_us });
+                    InsertOutcome::Replaced(old)
+                }
+                Some(_) => InsertOutcome::Rejected,
+            }
+        }
+
+        fn remove(&mut self, id: NodeId) -> bool {
+            if let Some((row, col)) = self.slot_of(id) {
+                let slot = &mut self.rows[row][col as usize];
+                if slot.map(|e| e.id) == Some(id) {
+                    *slot = None;
+                    return true;
+                }
+            }
+            false
+        }
+
+        fn entries(&self) -> Vec<RtEntry> {
+            self.rows.iter().flatten().flatten().copied().collect()
+        }
+
+        fn occupied_rows(&self) -> Vec<usize> {
+            (0..self.rows.len())
+                .filter(|&r| self.rows[r].iter().any(Option::is_some))
+                .collect()
+        }
+
+        fn row_ids(&self, r: usize) -> Vec<NodeId> {
+            self.rows[r].iter().flatten().map(|e| e.id).collect()
+        }
+    }
+
+    /// Compares every read accessor of `rt` with the model.
+    fn assert_matches(rt: &RoutingTable, model: &Model, pool: &[NodeId], step: usize) {
+        let entries = model.entries();
+        assert_eq!(
+            rt.entries().collect::<Vec<_>>(),
+            entries,
+            "entries at {step}"
+        );
+        assert_eq!(rt.len(), entries.len(), "len at {step}");
+        assert_eq!(rt.is_empty(), entries.is_empty());
+        assert_eq!(rt.occupied_rows(), model.occupied_rows(), "rows at {step}");
+        for r in 0..model.rows.len() {
+            assert_eq!(rt.row_ids(r), model.row_ids(r), "row {r} at {step}");
+            for c in 0..rt.col_count() {
+                assert_eq!(rt.get(r, c as u8), model.rows[r][c], "slot {r},{c}");
+            }
+        }
+        for &id in pool {
+            let want = model
+                .slot_of(id)
+                .and_then(|(r, c)| model.rows[r][c as usize].filter(|e| e.id == id));
+            assert_eq!(rt.entry_of(id), want, "entry_of at {step}");
+            assert_eq!(rt.contains(id), want.is_some());
+        }
+    }
+
+    #[test]
+    fn flat_table_matches_the_nested_model() {
+        let mut rng = SmallRng::seed_from_u64(11);
+        for b in [1u8, 2, 4, 8] {
+            let own = Id(rng.gen());
+            // Candidates share a random-length prefix with `own`, so every
+            // row is reachable and slots collide; `own` itself is included.
+            let mut pool: Vec<NodeId> = (0..96)
+                .map(|_| Id(own.0 ^ (rng.gen::<u128>() >> rng.gen_range(0..128))))
+                .collect();
+            pool.push(own);
+            let mut rt = RoutingTable::new(own, b);
+            let mut model = Model::new(own, b);
+            for step in 0..1500 {
+                let id = pool[rng.gen_range(0..pool.len())];
+                if rng.gen_bool(0.6) {
+                    let d = if rng.gen_bool(0.2) {
+                        DIST_UNKNOWN
+                    } else {
+                        rng.gen_range(0..1000)
+                    };
+                    assert_eq!(rt.offer(id, d), model.offer(id, d), "offer at {step}");
+                } else {
+                    assert_eq!(rt.remove(id), model.remove(id), "remove at {step}");
+                }
+                assert_matches(&rt, &model, &pool, step);
+            }
+            // Empty the table again: the row bound must fall back to zero.
+            for &id in &pool {
+                rt.remove(id);
+                model.remove(id);
+            }
+            assert_matches(&rt, &model, &pool, usize::MAX);
+            assert!(rt.is_empty() && rt.occupied_rows().is_empty());
+        }
+    }
+
+    #[test]
+    fn out_of_range_positions_are_empty() {
+        let mut rt = RoutingTable::new(own(), 4);
+        rt.offer(Id(0x6aaa_0000_0000_0000_0000_0000_0000_0000), 10);
+        assert_eq!(rt.get(0, 16), None, "column past 2^b");
+        assert_eq!(rt.get(Id::rows(4), 6), None, "row past the table");
+        assert!(rt.row_ids(Id::rows(4)).is_empty());
     }
 }

@@ -7,8 +7,10 @@
 //! [`SeenWindow`] stores those ids once, in a FIFO ring, and indexes the ring
 //! with an open-addressing table of ring positions (linear probing, load at
 //! most ½, backward-shift deletion). Both grow on demand up to the cap, so a
-//! node that sees few lookups holds a small window. At the cap the window
-//! costs `SEEN_CAP × (32 + 2 × 4)` bytes: 640 KiB.
+//! node that sees few lookups holds a small window. The ring keeps issuers
+//! and sequence numbers in two parallel arrays (24 B per id, where a padded
+//! `LookupId` takes 32) and the table holds `u16` positions, so at the cap
+//! the window costs `SEEN_CAP × (16 + 8 + 2 × 2)` bytes: 448 KiB.
 
 use crate::messages::LookupId;
 
@@ -16,34 +18,39 @@ use crate::messages::LookupId;
 pub(crate) const SEEN_CAP: usize = 16_384;
 
 /// Marks an empty table slot.
-const EMPTY: u32 = u32::MAX;
+const EMPTY: u16 = u16::MAX;
 /// Table size at the cap: load ½ with `SEEN_CAP` ids.
 const MAX_SLOTS: usize = 2 * SEEN_CAP;
 /// Table size of the first allocation.
 const MIN_SLOTS: usize = 16;
 
+// Every ring position fits a `u16` and none collides with `EMPTY`.
+const _: () = assert!(SEEN_CAP < u16::MAX as usize);
+
 /// The last [`SEEN_CAP`] distinct lookup ids, oldest evicted first.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SeenWindow {
-    /// Ids in insertion order, as a ring once full: `ring[head]` is the
-    /// oldest id (and the next to be overwritten).
-    ring: Vec<LookupId>,
+    /// Issuers of the ids in insertion order, as a ring once full:
+    /// position `head` holds the oldest id (and the next to be overwritten).
+    srcs: Vec<u128>,
+    /// Sequence numbers, parallel to `srcs`.
+    seqs: Vec<u64>,
     head: usize,
     /// Ring positions, indexed by id hash; `EMPTY` marks a free slot. Its
     /// length is zero or a power of two.
-    slots: Vec<u32>,
+    slots: Vec<u16>,
 }
 
 impl SeenWindow {
     /// Number of ids in the window.
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
-        self.ring.len()
+        self.srcs.len()
     }
 
     /// Whether `id` is in the window.
     pub(crate) fn contains(&self, id: &LookupId) -> bool {
-        self.find(id).is_some()
+        self.find(id.src.0, id.seq).is_some()
     }
 
     /// Adds `id` unless already present; returns whether it was added. At
@@ -52,47 +59,58 @@ impl SeenWindow {
         if self.contains(&id) {
             return false;
         }
-        if self.ring.len() < SEEN_CAP {
-            if 2 * (self.ring.len() + 1) > self.slots.len() {
+        let (src, seq) = (id.src.0, id.seq);
+        if self.srcs.len() < SEEN_CAP {
+            if 2 * (self.srcs.len() + 1) > self.slots.len() {
                 self.grow();
             }
-            self.ring.push(id);
-            self.place(self.ring.len() - 1);
+            self.srcs.push(src);
+            self.seqs.push(seq);
+            self.place(self.srcs.len() - 1);
         } else {
             let pos = self.head;
-            let oldest = self.find(&self.ring[pos]).expect("ring ids are indexed");
+            let oldest = self
+                .find(self.srcs[pos], self.seqs[pos])
+                .expect("ring ids are indexed");
             self.remove_slot(oldest);
-            self.ring[pos] = id;
+            self.srcs[pos] = src;
+            self.seqs[pos] = seq;
             self.place(pos);
             self.head = (pos + 1) % SEEN_CAP;
         }
         true
     }
 
-    /// Home slot of `id`: the high bits of a multiplicative hash that mixes
+    /// Home slot of an id: the high bits of a multiplicative hash that mixes
     /// both halves of the issuer id with the sequence number.
-    fn home(&self, id: &LookupId) -> usize {
+    fn home(&self, src: u128, seq: u64) -> usize {
         const K: u64 = 0x9e37_79b9_7f4a_7c15;
-        let src = id.src.0;
-        let x = ((src as u64) ^ ((src >> 64) as u64).rotate_left(32)).wrapping_mul(K) ^ id.seq;
+        let x = ((src as u64) ^ ((src >> 64) as u64).rotate_left(32)).wrapping_mul(K) ^ seq;
         let bits = self.slots.len().trailing_zeros();
         (x.wrapping_mul(K) >> (64 - bits)) as usize
+    }
+
+    /// Home slot of the id at ring position `pos`.
+    fn home_of(&self, pos: usize) -> usize {
+        self.home(self.srcs[pos], self.seqs[pos])
     }
 
     fn mask(&self) -> usize {
         self.slots.len() - 1
     }
 
-    /// The table slot holding `id`'s ring position.
-    fn find(&self, id: &LookupId) -> Option<usize> {
+    /// The table slot holding the ring position of id `(src, seq)`.
+    fn find(&self, src: u128, seq: u64) -> Option<usize> {
         if self.slots.is_empty() {
             return None;
         }
-        let mut i = self.home(id);
+        let mut i = self.home(src, seq);
         loop {
             match self.slots[i] {
                 EMPTY => return None,
-                pos if self.ring[pos as usize] == *id => return Some(i),
+                pos if self.seqs[pos as usize] == seq && self.srcs[pos as usize] == src => {
+                    return Some(i)
+                }
                 _ => i = (i + 1) & self.mask(),
             }
         }
@@ -100,11 +118,11 @@ impl SeenWindow {
 
     /// Indexes ring position `pos` (whose id is not yet in the table).
     fn place(&mut self, pos: usize) {
-        let mut i = self.home(&self.ring[pos]);
+        let mut i = self.home_of(pos);
         while self.slots[i] != EMPTY {
             i = (i + 1) & self.mask();
         }
-        self.slots[i] = pos as u32;
+        self.slots[i] = pos as u16;
     }
 
     /// Empties slot `i`, shifting later members of its probe run back so
@@ -118,7 +136,7 @@ impl SeenWindow {
             if pos == EMPTY {
                 break;
             }
-            let home = self.home(&self.ring[pos as usize]);
+            let home = self.home_of(pos as usize);
             // `j` may move to `i` only if its home is not cyclically in
             // (i, j].
             if (j.wrapping_sub(home) & mask) >= (j.wrapping_sub(i) & mask) {
@@ -133,7 +151,7 @@ impl SeenWindow {
     fn grow(&mut self) {
         let n = (2 * self.slots.len()).clamp(MIN_SLOTS, MAX_SLOTS);
         self.slots = vec![EMPTY; n];
-        for pos in 0..self.ring.len() {
+        for pos in 0..self.srcs.len() {
             self.place(pos);
         }
     }

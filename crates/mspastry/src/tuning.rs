@@ -16,8 +16,6 @@
 //! adopting the median of the estimates piggybacked by other nodes.
 
 use crate::config::Config;
-use crate::fxhash::FxHashMap;
-use crate::id::NodeId;
 use crate::leaf_set::LeafSet;
 use std::collections::VecDeque;
 
@@ -192,12 +190,11 @@ impl FailureHistory {
     }
 }
 
-/// Per-node self-tuning state: failure history plus the `T_rt` hints
-/// piggybacked by peers.
+/// Per-node self-tuning state: the failure history and the local `T_rt`
+/// estimate. The hints peers piggyback live in the node's per-peer table.
 #[derive(Debug, Clone)]
 pub struct SelfTuner {
     history: FailureHistory,
-    hints: FxHashMap<NodeId, u64>,
     local_t_rt_us: u64,
 }
 
@@ -206,7 +203,6 @@ impl SelfTuner {
     pub fn new(cfg: &Config, joined_at_us: u64) -> Self {
         SelfTuner {
             history: FailureHistory::new(cfg.failure_history_len, joined_at_us),
-            hints: FxHashMap::default(),
             local_t_rt_us: cfg.fixed_t_rt_us,
         }
     }
@@ -216,48 +212,34 @@ impl SelfTuner {
         self.history.record(now_us);
     }
 
-    /// Stores a peer's piggybacked `T_rt` estimate.
-    pub fn note_hint(&mut self, from: NodeId, t_rt_us: u64) {
-        self.hints.insert(from, t_rt_us);
-    }
-
-    /// Drops state for a departed peer.
-    pub fn forget(&mut self, node: NodeId) {
-        self.hints.remove(&node);
-    }
-
     /// The node's own current estimate (piggybacked on outgoing messages).
     pub fn local_t_rt_us(&self) -> u64 {
         self.local_t_rt_us
     }
 
     /// Recomputes the local estimate from the failure history and leaf-set
-    /// density and returns the *adopted* period: the median of the local
-    /// estimate and the hints from nodes currently in the routing state.
+    /// density and returns the *adopted* period (see [`SelfTuner::adopted`]).
     pub fn recompute(
         &mut self,
         cfg: &Config,
         now_us: u64,
         m_unique: usize,
         ls: &LeafSet,
-        routing_state: &[NodeId],
+        hints: Vec<u64>,
     ) -> u64 {
         let mu = self.history.estimate_mu(now_us, m_unique);
         let n = estimate_n(ls);
         self.local_t_rt_us = solve_t_rt(cfg, mu, n);
-        self.adopted(routing_state)
+        self.adopted(hints)
     }
 
-    /// The median of the local estimate and the current routing-state peers'
-    /// hints.
-    pub fn adopted(&self, routing_state: &[NodeId]) -> u64 {
-        let mut vals: Vec<u64> = routing_state
-            .iter()
-            .filter_map(|n| self.hints.get(n).copied())
-            .collect();
-        vals.push(self.local_t_rt_us);
-        vals.sort_unstable();
-        vals[vals.len() / 2]
+    /// The median of the local estimate and `hints`, the hints of the nodes
+    /// currently in the routing state (a multiset: their order is
+    /// irrelevant).
+    pub fn adopted(&self, mut hints: Vec<u64>) -> u64 {
+        hints.push(self.local_t_rt_us);
+        hints.sort_unstable();
+        hints[hints.len() / 2]
     }
 }
 
@@ -439,31 +421,5 @@ mod tests {
         let mu = h.estimate_mu(100 * SECOND_US, 10);
         let expected = 2.0 / (10.0 * 100.0 * SECOND_US as f64);
         assert!((mu / expected - 1.0).abs() < 1e-9, "mu {mu}");
-    }
-
-    #[test]
-    fn tuner_adopts_median_of_hints() {
-        let cfg = Config::default();
-        let mut t = SelfTuner::new(&cfg, 0);
-        t.local_t_rt_us = 50;
-        let peers: Vec<Id> = (1..=4u128).map(Id).collect();
-        t.note_hint(peers[0], 10);
-        t.note_hint(peers[1], 20);
-        t.note_hint(peers[2], 90);
-        t.note_hint(peers[3], 100);
-        let adopted = t.adopted(&peers);
-        assert_eq!(adopted, 50, "median of [10,20,50,90,100]");
-        // Hints from nodes outside the routing state are ignored.
-        let adopted = t.adopted(&peers[..1]);
-        assert_eq!(adopted, 50, "median of [10,50]");
-    }
-
-    #[test]
-    fn tuner_forget_removes_hints() {
-        let cfg = Config::default();
-        let mut t = SelfTuner::new(&cfg, 0);
-        t.note_hint(Id(1), 10);
-        t.forget(Id(1));
-        assert_eq!(t.adopted(&[Id(1)]), t.local_t_rt_us());
     }
 }

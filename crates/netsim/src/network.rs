@@ -99,17 +99,6 @@ impl Network {
         self.attach.len() - 1
     }
 
-    /// Attaches a new end host at a specific router.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `router` is out of range for the topology.
-    pub fn add_endpoint_at(&mut self, router: RouterId) -> EndpointId {
-        assert!((router as usize) < self.topo.router_count());
-        self.attach.push(router);
-        self.attach.len() - 1
-    }
-
     /// Number of attached end hosts.
     pub fn endpoint_count(&self) -> usize {
         self.attach.len()

@@ -182,14 +182,6 @@ impl Topology {
         self.matrix.delay_us(a, b) + 2 * self.lan_delay_us
     }
 
-    /// Mean router-to-router delay over all pairs, microseconds.
-    ///
-    /// On a lazily materialised matrix (router count above
-    /// [`DENSE_APSP_LIMIT`]) this forces every row.
-    pub fn mean_router_delay_us(&self) -> f64 {
-        self.matrix.mean_delay_us()
-    }
-
     /// Number of delay-matrix source rows currently materialised; equals
     /// [`Topology::router_count`] for densely built topologies.
     pub fn delay_rows_materialized(&self) -> usize {
