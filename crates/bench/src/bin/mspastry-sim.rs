@@ -11,7 +11,7 @@
 //!   --seeds N           independent seeds per scenario point       [1]
 //!   --jobs N            worker threads (0 = all cores)             [0]
 //!   --progress          report sweep progress (runs done, ev/s, ETA)
-//!   --json [PATH]       write the sweep artifact (and a CSV next to it)
+//!   --json [PATH]       write the sweep artifact, its CSV and the tables
 //!                       [results/<scenario>.<scale>.s<seeds>.json]
 //!
 //! Ad-hoc mode (assemble a single run from flags):
@@ -54,23 +54,12 @@ fn main() {
         print_help();
         return;
     }
-    let get = |name: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
+    let get = |name: &str| value(&args, name);
     let flag = |name: &str| args.iter().any(|a| a == name);
-    let parse_or = |name: &str, default: f64| -> f64 {
-        get(name)
-            .map(|v| {
-                v.parse()
-                    .unwrap_or_else(|_| die(&format!("bad value for {name}: {v}")))
-            })
-            .unwrap_or(default)
-    };
+    let parse_or = |name: &str, default: f64| -> f64 { parse(&args, name, default) };
 
     if flag("--list-scenarios") {
-        let s = bench::scale();
+        let s = harness::scale();
         println!("{:<22} {:<12} title", "name", "figure");
         for sc in bench::scenarios().iter() {
             println!(
@@ -95,7 +84,26 @@ fn main() {
     let duration_us = (hours * 3600e6) as u64;
     let nodes = parse_or("--nodes", 200.0);
     let session_min = parse_or("--session", 60.0);
-    let seed = parse_or("--seed", 1.0) as u64;
+    let seed: u64 = parse(&args, "--seed", 1);
+
+    // Reject bad protocol and network settings before building the trace.
+    let protocol = mspastry::Config {
+        b: parse(&args, "--b", 4),
+        leaf_set_size: parse(&args, "--l", 32),
+        target_raw_loss: parse_or("--target-lr", 5.0) / 100.0,
+        per_hop_acks: !flag("--no-acks"),
+        active_rt_probing: !flag("--no-probing"),
+        probe_suppression: !flag("--no-suppression"),
+        self_tuning: !flag("--no-selftuning"),
+        ..Default::default()
+    };
+    if let Err(e) = protocol.validate() {
+        die(&format!("bad protocol flags (--b, --l, --target-lr): {e}"));
+    }
+    let loss_pct = parse_or("--loss", 0.0);
+    if !(0.0..100.0).contains(&loss_pct) {
+        die(&format!("bad value for --loss: {loss_pct} (in [0, 100))"));
+    }
 
     let trace = match get("--churn").as_deref().unwrap_or("poisson") {
         "poisson" => churn::poisson::trace(&PoissonParams {
@@ -130,7 +138,7 @@ fn main() {
         "corpnet" => TopologyKind::CorpNet,
         other => die(&format!("unknown topology: {other}")),
     };
-    cfg.network_loss_rate = parse_or("--loss", 0.0) / 100.0;
+    cfg.network_loss_rate = loss_pct / 100.0;
     let rate = parse_or("--lookups", 0.01);
     cfg.workload = if rate > 0.0 {
         Workload::Poisson {
@@ -140,13 +148,7 @@ fn main() {
         Workload::None
     };
     cfg.seed = seed;
-    cfg.protocol.b = parse_or("--b", 4.0) as u8;
-    cfg.protocol.leaf_set_size = parse_or("--l", 32.0) as usize;
-    cfg.protocol.target_raw_loss = parse_or("--target-lr", 5.0) / 100.0;
-    cfg.protocol.per_hop_acks = !flag("--no-acks");
-    cfg.protocol.active_rt_probing = !flag("--no-probing");
-    cfg.protocol.probe_suppression = !flag("--no-suppression");
-    cfg.protocol.self_tuning = !flag("--no-selftuning");
+    cfg.protocol = protocol;
 
     let json_path = get("--json");
     let trace_rate = get("--trace")
@@ -159,7 +161,7 @@ fn main() {
         })
         .unwrap_or(0.0);
     cfg.trace_sample_rate = trace_rate;
-    cfg.trace_capacity = parse_or("--trace-capacity", 65_536.0) as usize;
+    cfg.trace_capacity = parse(&args, "--trace-capacity", 65_536);
     let trace_out = get("--trace-out").or_else(|| {
         (trace_rate > 0.0)
             .then(|| json_path.as_deref().map(|p| format!("{p}.trace.jsonl")))
@@ -295,19 +297,9 @@ fn main() {
 }
 
 /// Runs a registered scenario as a (possibly multi-seed, parallel) sweep and
-/// prints per-point means; `--json [PATH]` also writes the
-/// `mspastry-series/2` artifact plus a CSV next to it.
+/// prints its report tables; `--json [PATH]` also writes the series/2
+/// artifact, its CSV, and each report table as `<stem>.<table>.csv`.
 fn run_scenario(name: &str, args: &[String]) {
-    let parse_or = |opt: &str, default: u64| -> u64 {
-        args.iter()
-            .position(|a| a == opt)
-            .and_then(|i| args.get(i + 1))
-            .map(|v| {
-                v.parse()
-                    .unwrap_or_else(|_| die(&format!("bad value for {opt}: {v}")))
-            })
-            .unwrap_or(default)
-    };
     // `--json` takes an *optional* path in scenario mode: a following token
     // that looks like another option means "use the default path".
     let json = args
@@ -315,14 +307,14 @@ fn run_scenario(name: &str, args: &[String]) {
         .position(|a| a == "--json")
         .map(|i| args.get(i + 1).filter(|v| !v.starts_with("--")).cloned());
 
-    let s = bench::scale();
+    let s = harness::scale();
     let registry = bench::scenarios();
     let Some(scenario) = registry.get(name) else {
         die(&format!("unknown scenario: {name} (see --list-scenarios)"));
     };
     let mut cfg = SweepConfig::new(s);
-    cfg.seeds = parse_or("--seeds", 1);
-    cfg.jobs = parse_or("--jobs", 0) as usize;
+    cfg.seeds = parse(args, "--seeds", 1);
+    cfg.jobs = parse(args, "--jobs", 0);
     cfg.progress = args.iter().any(|a| a == "--progress");
 
     eprintln!(
@@ -337,49 +329,50 @@ fn run_scenario(name: &str, args: &[String]) {
     let sweep = run_sweep(scenario, &cfg);
     eprintln!("done in {:.1}s", t0.elapsed().as_secs_f64());
 
-    println!(
-        "{:<22} | {:>10} | {:>10} | {:>6} | {:>9}",
-        "point", "loss", "incorrect", "RDP", "ctl/s/n"
-    );
-    for p in &sweep.points {
-        let stat = |metric: &str| {
-            p.stats
-                .iter()
-                .find(|m| m.name == metric)
-                .map(|m| m.mean)
-                .unwrap_or(f64::NAN)
-        };
-        println!(
-            "{:<22} | {:>10.2e} | {:>10.2e} | {:>6.2} | {:>9.3}",
-            p.label,
-            stat("loss_rate"),
-            stat("incorrect_rate"),
-            stat("mean_rdp"),
-            stat("control_msgs_per_node_per_sec"),
-        );
+    let tables = (scenario.report)(&sweep);
+    let (figure, title, scale) = (scenario.figure, scenario.title, s.name());
+    println!("{figure}: {title} ({scale} scale, seeds: {})", sweep.seeds);
+    for t in &tables {
+        println!();
+        print!("{t}");
     }
 
     if let Some(path) = json {
-        let stem = format!("results/{}.{}.s{}", scenario.name, s.name(), cfg.seeds);
-        let json_path = path.unwrap_or_else(|| format!("{stem}.json"));
-        let csv_path = json_path
-            .strip_suffix(".json")
-            .map(|p| format!("{p}.csv"))
-            .unwrap_or_else(|| format!("{json_path}.csv"));
+        let json_path = path.unwrap_or_else(|| {
+            format!("results/{}.{}.s{}.json", scenario.name, s.name(), cfg.seeds)
+        });
+        let stem = json_path.strip_suffix(".json").unwrap_or(&json_path);
         if let Some(dir) = std::path::Path::new(&json_path).parent() {
-            if !dir.as_os_str().is_empty() {
-                let _ = std::fs::create_dir_all(dir);
-            }
+            let _ = std::fs::create_dir_all(dir);
         }
-        match std::fs::write(&json_path, sweep_json(&sweep)) {
-            Ok(()) => eprintln!("wrote sweep artifact to {json_path}"),
-            Err(e) => die(&format!("cannot write {json_path}: {e}")),
+        let write = |path: &str, text: String| {
+            std::fs::write(path, text).unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")))
+        };
+        write(&json_path, sweep_json(&sweep));
+        write(&format!("{stem}.csv"), sweep_csv(&sweep));
+        for t in &tables {
+            write(&format!("{stem}.{}.csv", t.name), t.csv());
         }
-        match std::fs::write(&csv_path, sweep_csv(&sweep)) {
-            Ok(()) => eprintln!("wrote sweep table to {csv_path}"),
-            Err(e) => die(&format!("cannot write {csv_path}: {e}")),
-        }
+        let n = tables.len();
+        eprintln!("wrote sweep artifact to {json_path}, its CSV and {n} report tables");
     }
+}
+
+/// The value following option `name`, if present; a missing value is an error.
+fn value(args: &[String], name: &str) -> Option<String> {
+    let i = args.iter().position(|a| a == name)?;
+    match args.get(i + 1) {
+        Some(v) if !v.starts_with("--") => Some(v.clone()),
+        _ => die(&format!("{name} needs a value")),
+    }
+}
+
+/// Option `name` parsed as a `T` (integers reject fractions), or `default`.
+fn parse<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
+    value(args, name).map_or(default, |v| {
+        v.parse()
+            .unwrap_or_else(|_| die(&format!("bad value for {name}: {v}")))
+    })
 }
 
 fn print_help() {

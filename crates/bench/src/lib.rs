@@ -1,13 +1,7 @@
-//! Shared machinery for the paper-reproduction benchmark targets.
-//!
-//! Every figure and table of the paper's §5 has a bench target under
-//! `benches/` (all with `harness = false`, so `cargo bench` runs them as
-//! plain binaries that print the same rows/series the paper reports). The
-//! experiment *definitions* live in the scenario registry
-//! ([`harness::scenario`]); the benches here are thin declarations that look
-//! their scenario up in [`scenarios`], run its points, and pretty-print the
-//! paper's tables. The `mspastry-sim` CLI executes the same registry
-//! entries (`--scenario NAME`), optionally as a parallel multi-seed sweep.
+//! The full experiment registry: every figure and table of the paper's §5
+//! is a scenario whose points and report live in [`harness::scenario`], and
+//! [`scenarios`] adds the two that need the `apps` layer. `mspastry-sim
+//! --scenario NAME` runs any of them, optionally as a multi-seed sweep.
 //!
 //! Two scales are supported, selected by the `MSPASTRY_SCALE` environment
 //! variable:
@@ -18,18 +12,16 @@
 //! * `full` — the paper's populations and durations (hours of wall time).
 
 use apps::kvstore;
-use apps::squirrel::{self, SquirrelParams};
+use apps::squirrel::{self, CacheStats, SquirrelParams};
 use apps::web_workload::WebWorkloadParams;
 use churn::poisson::{self, PoissonParams};
 use churn::synth::DAY_US;
-use harness::scenario::{Registry, Scenario, ScenarioPoint, SEED_RUN_STRIDE, SEED_TRACE_STRIDE};
-use harness::{RunConfig, RunResult, Workload};
-use topology::TopologyKind;
-
-pub use harness::scenario::{
-    base_config, gatech, gnutella_sweep_trace, gnutella_trace, microsoft_trace, overnet_trace,
-    scale, Scale, HOUR, MIN,
+use harness::scenario::{
+    Registry, Scale, Scenario, ScenarioPoint, HOUR, MIN, SEED_RUN_STRIDE, SEED_TRACE_STRIDE,
 };
+use harness::table::{nums, point_table};
+use harness::{Cell, Column, Fmt, RunConfig, RunResult, SweepResult, Table, Workload};
+use topology::TopologyKind;
 
 /// The full scenario registry: every harness-expressible experiment
 /// ([`Registry::builtin`]) plus the application-backed scenarios that need
@@ -41,19 +33,21 @@ pub fn scenarios() -> Registry {
         title: "Squirrel web-cache deployment traffic, simulated",
         figure: "Fig. 8",
         points: fig8_points,
+        report: fig8_report,
     });
     r.register(Scenario {
         name: "exp_replication",
         title: "KV availability vs leaf-set replication factor",
         figure: "extension",
         points: replication_points,
+        report: replication_report,
     });
     r
 }
 
 /// The Squirrel deployment parameters at a scale (52 machines over six days
 /// in quick mode; the paper-shaped default workload in full mode).
-pub fn fig8_params(s: Scale) -> SquirrelParams {
+fn fig8_params(s: Scale) -> SquirrelParams {
     match s {
         Scale::Full => SquirrelParams::default(),
         Scale::Quick => SquirrelParams {
@@ -76,11 +70,63 @@ fn fig8_points(s: Scale) -> Vec<ScenarioPoint> {
     })]
 }
 
+fn cache(r: &RunResult) -> CacheStats {
+    squirrel::cache_stats(r, 0)
+}
+
+/// Cache and routing statistics, then total traffic per node by hour and day.
+fn fig8_report(sw: &SweepResult) -> Vec<Table> {
+    let cols: [Column; 7] = [
+        ("served", Fmt::Int, |r| cache(r).served as f64),
+        ("hits", Fmt::Int, |r| cache(r).hits as f64),
+        ("misses", Fmt::Int, |r| cache(r).misses as f64),
+        ("hit rate %", Fmt::Fixed(1), |r| cache(r).hit_rate() * 100.0),
+        ("incorrect", Fmt::Int, |r| r.report.incorrect as f64),
+        ("lost", Fmt::Int, |r| r.report.lost as f64),
+        ("lookups", Fmt::Int, |r| r.report.issued as f64),
+    ];
+    let mut stats = point_table("deployment", "cache and routing", &sw.points, &cols);
+    // Only the workload builder knows which requests found their machine
+    // down, so seed 0's workload is rebuilt (no simulation).
+    let runs = &sw.points[0].runs;
+    let skipped = squirrel::build_run(&fig8_params(sw.scale)).1 + runs[0].skipped_scripted;
+    let note = format!("requests skipped: {skipped} (seed 0)");
+    stats.notes.push(note);
+
+    let windows = &runs[0].report.windows;
+    let total: Vec<f64> = windows
+        .iter()
+        .map(|w| w.control_per_node_per_sec + w.per_category_per_node_per_sec[5])
+        .collect();
+    let title = "total msg/s/node, every 3rd hour; the trace starts Thursday (seed 0)";
+    let mut hourly = Table::new("hourly", title, &["day", "hour", "msg/s/node", "bar"]);
+    for (h, &v) in total.iter().enumerate().step_by(3) {
+        let (day, hour) = ((h / 24) as f64, (h % 24) as f64);
+        let mut row = nums(&[(day, Fmt::Int), (hour, Fmt::Int), (v, Fmt::Fixed(3))]);
+        row.push(Cell::Text("#".repeat((v * 200.0).min(58.0) as usize)));
+        hourly.rows.push(row);
+    }
+    let title = "daily mean msg/s/node (seed 0)";
+    let mut daily = Table::new("daily", title, &["day", "weekday", "msg/s/node"]);
+    for (d, chunk) in total.chunks((DAY_US / HOUR) as usize).enumerate() {
+        let mean = chunk.iter().sum::<f64>() / chunk.len() as f64;
+        let weekday = Cell::Text(["Thu", "Fri", "Sat", "Sun", "Mon", "Tue"][d.min(5)].into());
+        let mut row = nums(&[(d as f64, Fmt::Int), (mean, Fmt::Fixed(3))]);
+        row.insert(1, weekday);
+        daily.rows.push(row);
+    }
+    let daily = daily.with_notes(&[
+        "expected (paper): six days with four visible week-day bumps and a",
+        "quiet weekend; simulator matches the deployment statistics.",
+    ]);
+    vec![stats, hourly, daily]
+}
+
 /// Builds the replication experiment: one churny 15-minute-session run with
 /// a scripted PUT/GET workload whose deliveries are post-processed per
 /// replication factor. Returns the run configuration and the op list (needed
 /// for [`kvstore::evaluate_replicated`]).
-pub fn replication_setup(seed: u64) -> (RunConfig, Vec<kvstore::TimedOp>) {
+fn replication_setup(seed: u64) -> (RunConfig, Vec<kvstore::TimedOp>) {
     let dur = 40 * MIN;
     let trace = poisson::trace(&PoissonParams {
         mean_nodes: 120.0,
@@ -108,184 +154,34 @@ fn replication_points(_s: Scale) -> Vec<ScenarioPoint> {
     })]
 }
 
-/// Runs and reports wall-clock time on stderr.
-pub fn timed_run(label: &str, cfg: RunConfig) -> RunResult {
-    let t0 = std::time::Instant::now();
-    let res = harness::run(cfg);
-    eprintln!(
-        "[{label}] {:.1}s wall, {} sim events, {} active at end",
-        t0.elapsed().as_secs_f64(),
-        res.sim_events,
-        res.final_active
-    );
-    res
-}
-
-/// Formats a number in scientific notation like the paper's axes.
-pub fn sci(x: f64) -> String {
-    if x == 0.0 {
-        "0".to_string()
-    } else {
-        format!("{x:.1e}")
+/// GET outcomes per replication factor, post-processed from seed 0's
+/// delivery log so every factor sees exactly the same run.
+fn replication_report(sw: &SweepResult) -> Vec<Table> {
+    let (_, ops) = replication_setup(0);
+    let res = &sw.points[0].runs[0];
+    let title = "15-minute sessions, GETs within 5 min of their PUT (seed 0)";
+    let header = ["replicas", "hits", "misses", "no-put", "hit rate %"];
+    let mut t = Table::new("replicas", title, &header);
+    for k in [0usize, 1, 2, 4, 8] {
+        let s = kvstore::evaluate_replicated(&ops, &res.deliveries, k);
+        let counts = [k as u64, s.gets_hit, s.gets_missed, s.gets_no_put];
+        let mut row = nums(&counts.map(|c| (c as f64, Fmt::Int)));
+        row.push(Cell::Num(s.hit_rate() * 100.0, Fmt::Fixed(1)));
+        t.rows.push(row);
     }
-}
-
-/// File stem for a result artifact: `<name>.<scale>`, so quick and full
-/// runs of the same experiment never clobber each other. Sweep artifacts
-/// additionally tag the seed count (see the `mspastry-sim` CLI).
-pub fn artifact_stem(name: &str, s: Scale) -> String {
-    format!("{name}.{}", s.name())
-}
-
-/// CSV export of experiment results (written under `results/`).
-pub mod csv {
-    use std::io::Write;
-    use std::path::{Path, PathBuf};
-
-    /// Writes rows to `results/<stem>.csv` with the given header, creating
-    /// the directory if missing, and returns the written path. Errors are
-    /// reported on stderr but never abort an experiment (`None`).
-    pub fn write(stem: &str, header: &[&str], rows: &[Vec<String>]) -> Option<PathBuf> {
-        let dir = Path::new("results");
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("csv: cannot create {dir:?}: {e}");
-            return None;
-        }
-        let path = dir.join(format!("{stem}.csv"));
-        let mut out = match std::fs::File::create(&path) {
-            Ok(f) => f,
-            Err(e) => {
-                eprintln!("csv: cannot create {path:?}: {e}");
-                return None;
-            }
-        };
-        let mut text = header.join(",");
-        text.push('\n');
-        for row in rows {
-            text.push_str(&row.join(","));
-            text.push('\n');
-        }
-        if let Err(e) = out.write_all(text.as_bytes()) {
-            eprintln!("csv: write to {path:?} failed: {e}");
-            None
-        } else {
-            eprintln!("csv: wrote {path:?} ({} rows)", rows.len());
-            Some(path)
-        }
-    }
-}
-
-/// JSON sidecar export of experiment results (written under `results/`,
-/// next to the CSVs). Schema `mspastry-series/1`: a named table with typed
-/// cells, so downstream tooling never re-parses CSV heuristically.
-pub mod json {
-    use obs::JsonWriter;
-    use std::path::{Path, PathBuf};
-
-    /// Serialises one cell: numbers stay numbers, everything else is a
-    /// string. Integer parses are tried first so counts round-trip exactly.
-    fn cell(w: &mut JsonWriter, v: &str) {
-        if let Ok(n) = v.parse::<u64>() {
-            w.u64(n);
-        } else if let Ok(n) = v.parse::<i64>() {
-            w.i64(n);
-        } else if let Ok(f) = v.parse::<f64>() {
-            w.f64(f);
-        } else {
-            w.string(v);
-        }
-    }
-
-    /// Renders a table as a `mspastry-series/1` JSON document.
-    pub fn render_table(name: &str, header: &[&str], rows: &[Vec<String>]) -> String {
-        let mut w = JsonWriter::new();
-        w.begin_object();
-        w.field_str("schema", "mspastry-series/1")
-            .field_str("name", name);
-        w.key("columns").begin_array();
-        for h in header {
-            w.string(h);
-        }
-        w.end_array();
-        w.key("rows").begin_array();
-        for row in rows {
-            w.begin_array();
-            for v in row {
-                cell(&mut w, v);
-            }
-            w.end_array();
-        }
-        w.end_array();
-        w.end_object();
-        w.finish()
-    }
-
-    /// Writes a table to `results/<stem>.json`, creating the directory if
-    /// missing, and returns the written path. Errors are reported on stderr
-    /// but never abort an experiment (`None`, mirroring
-    /// [`super::csv::write`]).
-    pub fn write_table(stem: &str, header: &[&str], rows: &[Vec<String>]) -> Option<PathBuf> {
-        let dir = Path::new("results");
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("json: cannot create {dir:?}: {e}");
-            return None;
-        }
-        let path = dir.join(format!("{stem}.json"));
-        match std::fs::write(&path, render_table(stem, header, rows)) {
-            Ok(()) => {
-                eprintln!("json: wrote {path:?} ({} rows)", rows.len());
-                Some(path)
-            }
-            Err(e) => {
-                eprintln!("json: write to {path:?} failed: {e}");
-                None
-            }
-        }
-    }
-}
-
-/// Prints a standard header for a bench target.
-pub fn header(fig: &str, what: &str, s: Scale) {
-    println!("==============================================================");
-    println!("{fig}: {what}");
-    println!(
-        "scale: {:?} (set MSPASTRY_SCALE=full for paper-scale runs)",
-        s
-    );
-    println!("==============================================================");
+    t.notes.push(format!("{} ops routed", ops.len()));
+    vec![t.with_notes(&[
+        "expected: the first replica closes most of the failure-takeover",
+        "gap (the new root after a crash is almost always replica #1);",
+        "the residual misses are join-takeovers, which need the value",
+        "migration a full PAST implementation performs on join.",
+    ])]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sci_formats() {
-        assert_eq!(sci(0.0), "0");
-        assert_eq!(sci(1.6e-5), "1.6e-5");
-    }
-
-    #[test]
-    fn json_table_types_cells() {
-        let rows = vec![vec![
-            "gnutella".to_string(),
-            "42".to_string(),
-            "1.5".to_string(),
-        ]];
-        let s = json::render_table("t", &["trace", "n", "rdp"], &rows);
-        assert_eq!(
-            s,
-            "{\"schema\":\"mspastry-series/1\",\"name\":\"t\",\
-             \"columns\":[\"trace\",\"n\",\"rdp\"],\
-             \"rows\":[[\"gnutella\",42,1.5]]}"
-        );
-    }
-
-    #[test]
-    fn artifact_stems_carry_the_scale() {
-        assert_eq!(artifact_stem("fig6_loss", Scale::Quick), "fig6_loss.quick");
-        assert_eq!(artifact_stem("fig6_loss", Scale::Full), "fig6_loss.full");
-    }
+    use harness::{run_sweep, SweepConfig};
 
     #[test]
     fn full_registry_includes_app_scenarios() {
@@ -317,5 +213,32 @@ mod tests {
         assert!(!ops_a.is_empty());
         let (c, _) = replication_setup(1);
         assert_ne!(a.trace, c.trace);
+    }
+
+    #[test]
+    fn every_report_renders_rectangular_tables() {
+        // A two-seed smoke point, repeated to each scenario's point count,
+        // covers the table shapes without running the experiments.
+        let registry = scenarios();
+        let mut cfg = SweepConfig::new(Scale::Quick);
+        cfg.seeds = 2;
+        let smoke = run_sweep(registry.get("smoke").unwrap(), &cfg);
+        for sc in registry.iter() {
+            let mut sweep = smoke.clone();
+            sweep.points = vec![smoke.points[0].clone(); sc.expand(Scale::Quick).len()];
+            let tables = (sc.report)(&sweep);
+            assert!(!tables.is_empty(), "{} reports no table", sc.name);
+            let mut names = std::collections::HashSet::new();
+            for t in &tables {
+                let name = format!("{}.{}", sc.name, t.name);
+                assert!(names.insert(&t.name), "{name}: duplicate table name");
+                let file_safe = t.name.chars().all(|c| c.is_ascii_lowercase() || c == '_');
+                assert!(file_safe, "{name}: table names become file names");
+                assert!(!t.rows.is_empty(), "{name}: no rows");
+                for row in &t.rows {
+                    assert_eq!(row.len(), t.header.len(), "{name}: ragged row");
+                }
+            }
+        }
     }
 }

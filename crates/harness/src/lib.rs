@@ -36,13 +36,12 @@ pub mod oracle;
 pub mod runner;
 pub mod scenario;
 pub mod sweep;
+pub mod table;
 
 pub use artifact::{report_json, run_json, RUN_SCHEMA};
-pub use metrics::{
-    category_index, quantile_index, series_index, Report, WindowReport, CATEGORY_NAMES,
-    N_CATEGORIES,
-};
+pub use metrics::{category_index, Report, WindowReport, CATEGORY_NAMES, N_CATEGORIES};
 pub use oracle::Oracle;
 pub use runner::{run, DeliveryRecord, RunConfig, RunResult, ScriptedLookup, Workload};
 pub use scenario::{scale, Registry, Scale, Scenario, ScenarioPoint};
 pub use sweep::{run_sweep, sweep_csv, sweep_json, SweepConfig, SweepResult, SWEEP_SCHEMA};
+pub use table::{Cell, Column, Fmt, Table};

@@ -346,15 +346,15 @@ impl Metrics {
 }
 
 /// Index of the sample a fraction `frac` (0.0..1.0) of the way through a
-/// series of length `n` — the window-sampling rule the figure benches share
-/// (truncating, clamped to the last element; 0 for an empty series).
-pub fn series_index(n: usize, frac: f64) -> usize {
+/// series of length `n` — the window-sampling rule of the time-series
+/// tables (truncating, clamped to the last element; 0 for an empty series).
+pub(crate) fn series_index(n: usize, frac: f64) -> usize {
     ((n as f64 * frac) as usize).min(n.saturating_sub(1))
 }
 
 /// Nearest-rank index of quantile `q` (0.0..=1.0) in a sorted sample of
 /// length `n` (0 for an empty sample).
-pub fn quantile_index(n: usize, q: f64) -> usize {
+fn quantile_index(n: usize, q: f64) -> usize {
     ((n.saturating_sub(1)) as f64 * q).round() as usize
 }
 

@@ -13,10 +13,10 @@
 
 use crate::runner::{run, RunResult};
 use crate::scenario::{Scale, Scenario};
+use crate::table::{mean_sd, Column, Fmt};
 use obs::{JsonWriter, Snapshot};
 
-/// Schema identifier of the aggregated sweep artifact; `mspastry-series/1`
-/// is the single-seed per-figure table the benches emit.
+/// Schema identifier of the aggregated sweep artifact.
 pub const SWEEP_SCHEMA: &str = "mspastry-series/2";
 
 /// How to execute a sweep.
@@ -65,7 +65,7 @@ pub struct PointSummary {
     pub label: String,
     /// Number of seeds aggregated.
     pub n_seeds: u64,
-    /// Per-metric statistics, in [`METRIC_NAMES`] order.
+    /// Per-metric statistics, in [`METRICS`] order.
     pub stats: Vec<MetricStat>,
     /// Diagnostic registry snapshots of all seeds, merged (counters summed,
     /// histograms merged).
@@ -90,37 +90,23 @@ pub struct SweepResult {
 }
 
 /// The scalar metrics aggregated across seeds, in artifact order.
-pub const METRIC_NAMES: [&str; 11] = [
-    "issued",
-    "delivered",
-    "incorrect_rate",
-    "loss_rate",
-    "mean_rdp",
-    "mean_hops",
-    "control_msgs_per_node_per_sec",
-    "bytes_per_node_per_sec",
-    "final_active",
-    "ring_defects",
-    "mean_t_rt_us",
+pub const METRICS: [Column; 11] = [
+    ("issued", Fmt::Int, |r| r.report.issued as f64),
+    ("delivered", Fmt::Int, |r| r.report.delivered as f64),
+    ("incorrect_rate", Fmt::Sci(2), |r| r.report.incorrect_rate),
+    ("loss_rate", Fmt::Sci(2), |r| r.report.loss_rate),
+    ("mean_rdp", Fmt::Fixed(2), |r| r.report.mean_rdp),
+    ("mean_hops", Fmt::Fixed(2), |r| r.report.mean_hops),
+    ("control_msgs_per_node_per_sec", Fmt::Fixed(3), |r| {
+        r.report.control_msgs_per_node_per_sec
+    }),
+    ("bytes_per_node_per_sec", Fmt::Fixed(1), |r| {
+        r.report.bytes_per_node_per_sec
+    }),
+    ("final_active", Fmt::Int, |r| r.final_active as f64),
+    ("ring_defects", Fmt::Int, |r| r.ring_defects as f64),
+    ("mean_t_rt_us", Fmt::Int, |r| r.mean_t_rt_us),
 ];
-
-/// The [`METRIC_NAMES`] values of one run, in the same order.
-fn metric_values(r: &RunResult) -> [f64; METRIC_NAMES.len()] {
-    let rep = &r.report;
-    [
-        rep.issued as f64,
-        rep.delivered as f64,
-        rep.incorrect_rate,
-        rep.loss_rate,
-        rep.mean_rdp,
-        rep.mean_hops,
-        rep.control_msgs_per_node_per_sec,
-        rep.bytes_per_node_per_sec,
-        r.final_active as f64,
-        r.ring_defects as f64,
-        r.mean_t_rt_us,
-    ]
-}
 
 /// Runs a scenario's full (point × seed) grid and aggregates per point.
 pub fn run_sweep(scenario: &Scenario, cfg: &SweepConfig) -> SweepResult {
@@ -181,19 +167,11 @@ fn summarize(label: &str, runs: Vec<RunResult>) -> PointSummary {
     for r in &runs {
         diag.merge(&r.diag);
     }
-    let stats = METRIC_NAMES
+    let stats = METRICS
         .iter()
-        .enumerate()
-        .map(|(m, &name)| {
-            let values: Vec<f64> = runs.iter().map(|r| metric_values(r)[m]).collect();
-            let mean = values.iter().sum::<f64>() / n as f64;
-            let stddev = if n > 1 {
-                let var =
-                    values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / (n - 1) as f64;
-                var.sqrt()
-            } else {
-                0.0
-            };
+        .map(|&(name, _, value)| {
+            let values: Vec<f64> = runs.iter().map(value).collect();
+            let (mean, stddev) = mean_sd(&values);
             MetricStat {
                 name,
                 values,
@@ -253,7 +231,7 @@ pub fn sweep_json(res: &SweepResult) -> String {
 /// `<metric>_mean`/`<metric>_stddev` column pair per aggregated metric.
 pub fn sweep_csv(res: &SweepResult) -> String {
     let mut out = String::from("label,n_seeds");
-    for name in METRIC_NAMES {
+    for (name, ..) in METRICS {
         out.push_str(&format!(",{name}_mean,{name}_stddev"));
     }
     out.push('\n');
@@ -301,6 +279,7 @@ mod tests {
         title: "test scenario",
         figure: "test",
         points: tiny_points,
+        report: |_| Vec::new(),
     };
 
     #[test]
@@ -315,7 +294,7 @@ mod tests {
         for p in &res.points {
             assert_eq!(p.n_seeds, 2);
             assert_eq!(p.runs.len(), 2);
-            assert_eq!(p.stats.len(), METRIC_NAMES.len());
+            assert_eq!(p.stats.len(), METRICS.len());
             let issued = &p.stats[0];
             assert_eq!(issued.name, "issued");
             assert_eq!(issued.values.len(), 2);
@@ -359,7 +338,7 @@ mod tests {
         ] {
             assert!(s.contains(&format!("\"{key}\":")), "missing {key}");
         }
-        for name in METRIC_NAMES {
+        for (name, ..) in METRICS {
             assert!(
                 s.contains(&format!("\"{name}\":{{\"mean\":")),
                 "missing {name}"

@@ -5,9 +5,9 @@
 //!
 //! Doubles as the smallest complete demo of the scenario engine: a custom
 //! experiment is one `Scenario` declaration — a named list of points, each
-//! a seed-indexed `RunConfig` builder — and `run_sweep` executes the whole
-//! (point × seed) grid across the machine's cores, with means and standard
-//! deviations aggregated per point.
+//! a seed-indexed `RunConfig` builder, plus a report rendering its tables —
+//! and `run_sweep` executes the whole (point × seed) grid across the
+//! machine's cores, with means and standard deviations aggregated per point.
 //!
 //! ```sh
 //! cargo run --release -p harness --example churn_storm
@@ -15,7 +15,8 @@
 
 use churn::poisson::{self, PoissonParams};
 use harness::scenario::{Scale, ScenarioPoint, SEED_TRACE_STRIDE};
-use harness::{run_sweep, RunConfig, Scenario, SweepConfig};
+use harness::table::point_table;
+use harness::{run_sweep, Column, Fmt, RunConfig, Scenario, SweepConfig, SweepResult, Table};
 use topology::TopologyKind;
 
 fn storm_points(_s: Scale) -> Vec<ScenarioPoint> {
@@ -38,35 +39,38 @@ fn storm_points(_s: Scale) -> Vec<ScenarioPoint> {
         .collect()
 }
 
+fn storm_report(sweep: &SweepResult) -> Vec<Table> {
+    let cols: [Column; 4] = [
+        ("loss", Fmt::Sci(2), |r| r.report.loss_rate),
+        ("incorrect", Fmt::Int, |r| r.report.incorrect as f64),
+        ("RDP", Fmt::Fixed(2), |r| r.report.mean_rdp),
+        ("control msg/s/node", Fmt::Fixed(3), |r| {
+            r.report.control_msgs_per_node_per_sec
+        }),
+    ];
+    let t = point_table("storm", "mean session time", &sweep.points, &cols);
+    vec![t.with_notes(&[
+        "expected shape: zero incorrect deliveries at every churn level,",
+        "loss stays ~1e-4 or below, RDP roughly flat until 5-minute",
+        "sessions, control traffic rising as sessions shrink.",
+    ])]
+}
+
 fn main() {
     let scenario = Scenario {
         name: "churn_storm",
         title: "session-time sweep under Poisson churn",
         figure: "Fig. 5 (miniature)",
         points: storm_points,
+        report: storm_report,
     };
     let mut sweep_cfg = SweepConfig::new(Scale::Quick);
     sweep_cfg.seeds = 2; // two independent trace+run seeds per point
 
     println!("sweeping 5 churn levels x {} seeds ...", sweep_cfg.seeds);
     let sweep = run_sweep(&scenario, &sweep_cfg);
-
-    println!();
-    println!("session |   loss   |  RDP (mean±sd) | control msg/s/node");
-    println!("--------+----------+----------------+-------------------");
-    for p in &sweep.points {
-        let get = |name: &str| p.stats.iter().find(|m| m.name == name).unwrap();
-        println!(
-            "{:>7} | {:.2e} | {:>6.2} ± {:.2}  | {:.3}",
-            p.label,
-            get("loss_rate").mean,
-            get("mean_rdp").mean,
-            get("mean_rdp").stddev,
-            get("control_msgs_per_node_per_sec").mean,
-        );
+    for table in (scenario.report)(&sweep) {
+        println!();
+        print!("{table}");
     }
-    println!();
-    println!("expected shape: zero incorrect deliveries at every churn level,");
-    println!("loss stays ~1e-4 or below, RDP roughly flat until 5-minute");
-    println!("sessions, control traffic rising as sessions shrink.");
 }

@@ -17,16 +17,19 @@ fn base(trace: Trace) -> RunConfig {
     cfg
 }
 
-#[test]
-fn zero_incorrect_deliveries_under_extreme_churn() {
-    // 15-minute mean sessions: an order of magnitude harsher than Gnutella.
-    let trace = poisson::trace(&PoissonParams {
+/// 15-minute mean sessions: an order of magnitude harsher than Gnutella.
+fn extreme_churn_trace() -> Trace {
+    poisson::trace(&PoissonParams {
         mean_nodes: 120.0,
         mean_session_us: 15.0 * 60e6,
         duration_us: 45 * MIN,
         seed: 21,
-    });
-    let res = run(base(trace));
+    })
+}
+
+#[test]
+fn zero_incorrect_deliveries_under_extreme_churn() {
+    let res = run(base(extreme_churn_trace()));
     assert!(res.report.issued > 200, "issued {}", res.report.issued);
     assert_eq!(
         res.report.incorrect, 0,
@@ -34,6 +37,26 @@ fn zero_incorrect_deliveries_under_extreme_churn() {
          network loss"
     );
     assert!(res.report.loss_rate < 0.01, "loss {}", res.report.loss_rate);
+}
+
+#[test]
+fn zero_incorrect_deliveries_with_graceful_leaves() {
+    // Announced departures repair leaf sets immediately; that shortcut must
+    // not cost consistency.
+    for fraction in [0.5, 1.0] {
+        let mut cfg = base(extreme_churn_trace());
+        cfg.graceful_leave_fraction = fraction;
+        let res = run(cfg);
+        let leaving = res.report.fine_counts.iter().find(|(k, _)| *k == "leaving");
+        assert!(
+            leaving.is_some_and(|&(_, n)| n > 0),
+            "no leaving announcements sent at fraction {fraction}"
+        );
+        assert_eq!(
+            res.report.incorrect, 0,
+            "incorrect deliveries at graceful fraction {fraction}"
+        );
+    }
 }
 
 #[test]

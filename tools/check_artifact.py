@@ -5,7 +5,9 @@ Usage: check_artifact.py RUN_JSON [TRACE_JSONL] [--timeseries TS_JSONL]
 
 Checks that RUN_JSON is a well-formed `mspastry-run/1` document (single
 run) or `mspastry-series/2` document (aggregated multi-seed sweep from
-`--scenario`), that TRACE_JSONL parses line by line, and that at least
+`--scenario`; its sibling report tables `<stem>.<table>.csv` are checked
+too: a header, every row as wide as it, and every cell of a numeric
+column parsing as a number), that TRACE_JSONL parses line by line, and that at least
 one sampled lookup's hop path can be reconstructed end to end (issue ->
 forwards covering 1..=hops -> deliver, with non-decreasing timestamps
 and an armed RTO on every forward). With --timeseries, also checks the
@@ -17,7 +19,10 @@ its internal invariants are checked too. Exits non-zero on any
 violation.
 """
 
+import csv
+import glob
 import json
+import re
 import sys
 from collections import defaultdict
 
@@ -64,11 +69,48 @@ def check_sweep(path, doc):
           f"{len(points[0]['metrics'])} metrics/point")
 
 
+def check_tables(path):
+    stem = path[:-len(".json")] if path.endswith(".json") else path
+    # Table names are lower-case words (`points`, `join_cdf`); that keeps
+    # out the files of another sweep whose stem extends this one.
+    paths = sorted(p for p in glob.glob(glob.escape(stem) + ".*.csv")
+                   if re.fullmatch(r"[a-z_]+", p[len(stem) + 1:-len(".csv")]))
+    if not paths:
+        fail(f"no report tables {stem}.*.csv next to the sweep artifact")
+    for table in paths:
+        with open(table, newline="") as f:
+            rows = list(csv.reader(f))
+        if len(rows) < 2:
+            fail(f"{table}: needs a header and at least one row")
+        header, body = rows[0], rows[1:]
+        for i, row in enumerate(body, 2):
+            if len(row) != len(header):
+                fail(f"{table}:{i}: {len(row)} cells under {len(header)} headers")
+        # A column whose first cell is a number is numeric throughout.
+        for c, name in enumerate(header):
+            if not is_number(body[0][c]):
+                continue
+            for i, row in enumerate(body, 2):
+                if not is_number(row[c]):
+                    fail(f"{table}:{i}: column {name!r} holds {row[c]!r}, not a number")
+    print(f"check_artifact: {len(paths)} report tables ok: "
+          + ", ".join(p[len(stem) + 1:-len(".csv")] for p in paths))
+
+
+def is_number(cell):
+    try:
+        float(cell)
+        return True
+    except ValueError:
+        return False
+
+
 def check_run(path):
     with open(path) as f:
         doc = json.load(f)
     if doc.get("schema") == "mspastry-series/2":
         check_sweep(path, doc)
+        check_tables(path)
         return doc
     if doc.get("schema") != "mspastry-run/1":
         fail(f"unexpected schema tag {doc.get('schema')!r}")
