@@ -80,11 +80,36 @@ fn main() {
         die("--seeds/--jobs/--progress only apply to scenario sweeps; add --scenario NAME");
     }
 
-    let hours = parse_or("--hours", 2.0);
+    // Reject bad run-size, workload and sampling values before building
+    // the trace.
+    let checked = |name: &str, default: f64, ok: fn(f64) -> bool, want: &str| -> f64 {
+        let v = parse_or(name, default);
+        if !(v.is_finite() && ok(v)) {
+            die(&format!("bad value for {name}: {v} ({want})"));
+        }
+        v
+    };
+    let hours = checked("--hours", 2.0, |v| v > 0.0, "finite, > 0");
     let duration_us = (hours * 3600e6) as u64;
-    let nodes = parse_or("--nodes", 200.0);
-    let session_min = parse_or("--session", 60.0);
+    let nodes = checked("--nodes", 200.0, |v| v > 0.0, "finite, > 0");
+    let session_min = checked("--session", 60.0, |v| v > 0.0, "finite, > 0");
+    let rate = checked("--lookups", 0.01, |v| v >= 0.0, "finite, >= 0");
     let seed: u64 = parse(&args, "--seed", 1);
+    let ts_path = get("--timeseries");
+    let ts_interval_us = if ts_path.is_some() {
+        let secs = parse_or("--ts-interval", 60.0);
+        let us = (secs * 1e6) as u64;
+        if !secs.is_finite() || us == 0 {
+            die(&format!(
+                "bad value for --ts-interval: {secs} (seconds, finite, >= 1 microsecond)"
+            ));
+        }
+        us
+    } else if flag("--ts-interval") {
+        die("--ts-interval only applies with --timeseries PATH");
+    } else {
+        0
+    };
 
     // Reject bad protocol and network settings before building the trace.
     let protocol = mspastry::Config {
@@ -139,7 +164,6 @@ fn main() {
         other => die(&format!("unknown topology: {other}")),
     };
     cfg.network_loss_rate = loss_pct / 100.0;
-    let rate = parse_or("--lookups", 0.01);
     cfg.workload = if rate > 0.0 {
         Workload::Poisson {
             rate_per_node_per_sec: rate,
@@ -167,18 +191,7 @@ fn main() {
             .then(|| json_path.as_deref().map(|p| format!("{p}.trace.jsonl")))
             .flatten()
     });
-    let ts_path = get("--timeseries");
-    if ts_path.is_some() {
-        let secs = parse_or("--ts-interval", 60.0);
-        if secs <= 0.0 {
-            die(&format!(
-                "bad value for --ts-interval: {secs} (seconds, > 0)"
-            ));
-        }
-        cfg.ts_interval_us = (secs * 1e6) as u64;
-    } else if flag("--ts-interval") {
-        die("--ts-interval only applies with --timeseries PATH");
-    }
+    cfg.ts_interval_us = ts_interval_us;
     cfg.profile = flag("--profile");
 
     let trace_capacity = cfg.trace_capacity;

@@ -8,7 +8,7 @@ use std::process::Command;
 fn bad_flags_are_rejected_before_any_work() {
     let dir = std::env::temp_dir().join(format!("mspastry-sim-cli-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let cases: [(&[&str], &str); 9] = [
+    let cases: [(&[&str], &str); 19] = [
         (&["--b", "9"], "b must be in 1..=8, got 9"),
         (&["--l", "33"], "leaf set size must be even"),
         (&["--loss", "150"], "bad value for --loss: 150"),
@@ -18,6 +18,25 @@ fn bad_flags_are_rejected_before_any_work() {
         (&["--seed", "2.5"], "bad value for --seed: 2.5"),
         (&["--json", "--trace", "1"], "--json needs a value"),
         (&["--json"], "--json needs a value"),
+        (&["--session", "0"], "bad value for --session: 0"),
+        (&["--nodes", "inf"], "bad value for --nodes: inf"),
+        (&["--hours", "-1"], "bad value for --hours: -1"),
+        (&["--hours", "nan"], "bad value for --hours: NaN"),
+        (&["--nodes", "-5"], "bad value for --nodes: -5"),
+        (&["--lookups", "-1"], "bad value for --lookups: -1"),
+        (&["--lookups", "nan"], "bad value for --lookups: NaN"),
+        (
+            &["--timeseries", "ts.jsonl", "--ts-interval", "nan"],
+            "bad value for --ts-interval: NaN",
+        ),
+        (
+            &["--timeseries", "ts.jsonl", "--ts-interval", "1e-7"],
+            "bad value for --ts-interval: 0.0000001",
+        ),
+        (
+            &["--timeseries", "ts.jsonl", "--ts-interval", "inf"],
+            "bad value for --ts-interval: inf",
+        ),
     ];
     for (args, expected) in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_mspastry-sim"))

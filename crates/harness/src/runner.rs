@@ -38,6 +38,10 @@ const NO_JOIN: u64 = u64::MAX;
 /// Sentinel for "not active" in the endpoint-indexed active-position table.
 const NOT_ACTIVE: u32 = u32::MAX;
 
+/// Maximum time-series windows kept in memory; past it the oldest are
+/// dropped (and counted), mirroring the flight recorder.
+const TS_MAX_WINDOWS: usize = 8_192;
+
 /// The lookup workload applied to the overlay.
 #[derive(Debug, Clone)]
 pub enum Workload {
@@ -136,11 +140,9 @@ pub struct RunConfig {
     pub trace_capacity: usize,
     /// Time-series sampling cadence in virtual microseconds (0 disables the
     /// sampler). Sampling is a pure observer — it reads registry snapshots
-    /// between events and never perturbs the simulation.
+    /// between events and never perturbs the simulation. At most 8192
+    /// windows are kept; past that the oldest are dropped (and counted).
     pub ts_interval_us: u64,
-    /// Maximum time-series windows kept in memory; past it the oldest are
-    /// dropped (and counted), mirroring the flight recorder.
-    pub ts_max_windows: usize,
     /// Self-profile the run loop: per-event-kind dispatch counts and wall
     /// time, plus event-queue depth gauges, reported under
     /// [`RunResult::prof`]. Wall-clock readings are nondeterministic, so the
@@ -170,7 +172,6 @@ impl RunConfig {
             trace_sample_rate: 0.0,
             trace_capacity: 65_536,
             ts_interval_us: 0,
-            ts_max_windows: 8_192,
             profile: false,
         }
     }
@@ -408,7 +409,7 @@ impl Runner {
             _ => Vec::new(),
         };
         let timeseries = (cfg.ts_interval_us > 0)
-            .then(|| obs::TimeSeries::new(cfg.ts_interval_us, cfg.ts_max_windows));
+            .then(|| obs::TimeSeries::new(cfg.ts_interval_us, TS_MAX_WINDOWS));
         Runner {
             drivers: Vec::new(),
             prof: cfg.profile.then(Prof::new),

@@ -3,10 +3,38 @@
 //! [`Config::default`] is the paper's *base configuration*: `b = 4`, `l = 32`,
 //! `Tls = 30 s`, per-hop acks, routing-table probing self-tuned with a target
 //! raw loss rate `Lr = 5 %`, probe suppression, and symmetric distance
-//! probes.
+//! probes. Parameters the paper never varies are constants.
 
 /// One second in the microsecond clock used throughout.
 pub const SECOND_US: u64 = 1_000_000;
+
+/// Routing-table probing period when self-tuning is off, and the initial
+/// estimate before the first self-tuning round, microseconds.
+pub const FIXED_T_RT_US: u64 = 30 * SECOND_US;
+
+/// Length `K` of the failure history used to estimate the failure rate µ.
+pub const FAILURE_HISTORY_LEN: usize = 16;
+
+/// Number of distance probes per routing-table candidate measurement (the
+/// median is used; paper: 3). The nearest-neighbour algorithm takes a
+/// single probe per candidate to keep join latency low.
+pub const DISTANCE_PROBE_COUNT: u32 = 3;
+
+/// Maximum number of reroutes for one lookup at one hop before dropping.
+pub const ACK_MAX_REROUTES: u32 = 8;
+
+/// Retransmissions to a silent *root* before excluding it and delivering at
+/// the now-closest node (final-hop ack timeouts retry the same node first:
+/// there is no alternative node that could correctly deliver). Each retry
+/// squares the probability that an alive root is wrongly bypassed, at the
+/// cost of delay when the root really is dead — every node holding the
+/// lookup pays the budget. When excluding the root would leave only a
+/// self-delivery, the extended budget `4 + 3·(max_probe_retries + 1)`
+/// applies instead, so the retransmissions outlast the root's probe verdict.
+pub const ROOT_RETX_ATTEMPTS: u32 = 1;
+
+/// Capacity of the buffer for lookups received while inactive.
+pub const JOIN_BUFFER_CAP: usize = 1024;
 
 /// MSPastry protocol parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -26,28 +54,17 @@ pub struct Config {
     /// Enable active liveness probing of routing-table entries (§3.2).
     pub active_rt_probing: bool,
     /// Enable self-tuning of the routing-table probing period (§4.1). When
-    /// disabled, [`Config::fixed_t_rt_us`] is used.
+    /// disabled, [`FIXED_T_RT_US`] is used.
     pub self_tuning: bool,
     /// Target raw loss rate `Lr` for self-tuning (paper: 0.05).
     pub target_raw_loss: f64,
-    /// Routing-table probing period when self-tuning is off, microseconds.
-    pub fixed_t_rt_us: u64,
     /// Period of the self-tuning recomputation, microseconds.
     pub self_tune_period_us: u64,
-    /// Length `K` of the failure history used to estimate the failure rate µ.
-    pub failure_history_len: usize,
     /// Suppress failure-detection messages when regular traffic already
     /// proves liveness (§4.1).
     pub probe_suppression: bool,
-    /// Share measured round-trip delays with the probed node so it can skip
-    /// its own measurement (§4.2).
-    pub symmetric_distance_probes: bool,
-    /// Number of distance probes per measurement (median is used; paper: 3).
-    pub distance_probe_count: u32,
     /// Spacing between distance probes of one measurement, microseconds.
     pub distance_probe_spacing_us: u64,
-    /// Use a single distance probe during the nearest-neighbour algorithm.
-    pub single_probe_nearest_neighbor: bool,
     /// Timeout of a nearest-neighbour distance probe, microseconds. Shorter
     /// than `To` and never retried: a dead candidate should cost little join
     /// latency.
@@ -62,24 +79,8 @@ pub struct Config {
     pub ack_rto_min_us: u64,
     /// Initial per-hop RTO before any sample for a peer, microseconds.
     pub ack_rto_initial_us: u64,
-    /// Maximum number of reroutes for one lookup at one hop before dropping.
-    pub ack_max_reroutes: u32,
-    /// Retransmissions to a silent *root* before giving up on it (final-hop
-    /// ack timeouts retry the same node first: there is no alternative node
-    /// that could correctly deliver). Each retry squares the probability
-    /// that an alive root is wrongly bypassed, at the cost of delay when the
-    /// root really is dead — every node holding the lookup pays the budget.
-    pub root_retx_attempts: u32,
-    /// After the retransmission budget, exclude the silent root from routing
-    /// and deliver at the now-closest node (the paper's default; improves
-    /// latency at a tiny consistency cost under message loss). When `false`,
-    /// keep retransmitting until the root's failure probe resolves — the
-    /// paper's "improve consistency at the expense of latency" variant.
-    pub exclude_root_on_ack_timeout: bool,
     /// Join retry period while a node has not become active, microseconds.
     pub join_retry_us: u64,
-    /// Capacity of the buffer for lookups received while inactive.
-    pub join_buffer_cap: usize,
 }
 
 impl Default for Config {
@@ -94,24 +95,15 @@ impl Default for Config {
             active_rt_probing: true,
             self_tuning: true,
             target_raw_loss: 0.05,
-            fixed_t_rt_us: 30 * SECOND_US,
             self_tune_period_us: 60 * SECOND_US,
-            failure_history_len: 16,
             probe_suppression: true,
-            symmetric_distance_probes: true,
-            distance_probe_count: 3,
             distance_probe_spacing_us: SECOND_US,
-            single_probe_nearest_neighbor: true,
             nn_probe_timeout_us: 1_500_000,
             nearest_neighbor_join: true,
             rt_maintenance_period_us: 20 * 60 * SECOND_US,
             ack_rto_min_us: 20_000,
             ack_rto_initial_us: 500_000,
-            ack_max_reroutes: 8,
-            root_retx_attempts: 1,
-            exclude_root_on_ack_timeout: true,
             join_retry_us: 30 * SECOND_US,
-            join_buffer_cap: 1024,
         }
     }
 }
@@ -152,9 +144,6 @@ impl Config {
                 self.target_raw_loss
             ));
         }
-        if self.distance_probe_count == 0 {
-            return Err("distance probe count must be >= 1".into());
-        }
         Ok(())
     }
 }
@@ -174,6 +163,12 @@ mod tests {
         assert!(c.per_hop_acks && c.active_rt_probing && c.self_tuning);
         assert!((c.target_raw_loss - 0.05).abs() < 1e-12);
         assert!(c.validate().is_ok());
+        assert_eq!(FIXED_T_RT_US, 30 * SECOND_US);
+        assert_eq!(FAILURE_HISTORY_LEN, 16);
+        assert_eq!(DISTANCE_PROBE_COUNT, 3);
+        assert_eq!(ACK_MAX_REROUTES, 8);
+        assert_eq!(ROOT_RETX_ATTEMPTS, 1);
+        assert_eq!(JOIN_BUFFER_CAP, 1024);
     }
 
     #[test]

@@ -81,7 +81,7 @@ impl Node {
 
     pub(crate) fn on_join(&mut self, seed: Option<NodeId>, fx: &mut Effects) {
         self.consistency.join_seed = seed;
-        self.maintenance.tuner = SelfTuner::new(&self.ctx.cfg, self.ctx.now_us);
+        self.maintenance.tuner = SelfTuner::new(self.ctx.now_us);
         self.peers.reset_hints();
         // Periodic timers, staggered to avoid fleet-wide synchronisation.
         let stagger = |rng: &mut SmallRng, period: u64| rng.gen_range(1..=period.max(1));

@@ -7,7 +7,7 @@
 //! node's per-peer table records, postpones heartbeats and skips liveness
 //! probes.
 
-use crate::config::Config;
+use crate::config::FIXED_T_RT_US;
 use crate::diag::ProbeCause;
 use crate::events::{Effects, TimerKind};
 use crate::id::NodeId;
@@ -25,10 +25,10 @@ pub(crate) struct Maintenance {
 }
 
 impl Maintenance {
-    pub(crate) fn new(cfg: &Config) -> Self {
+    pub(crate) fn new() -> Self {
         Maintenance {
-            tuner: SelfTuner::new(cfg, 0),
-            t_rt_us: cfg.fixed_t_rt_us,
+            tuner: SelfTuner::new(0),
+            t_rt_us: FIXED_T_RT_US,
         }
     }
 }
@@ -194,6 +194,7 @@ impl Node {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Config;
     use crate::events::Event;
     use crate::id::Id;
 

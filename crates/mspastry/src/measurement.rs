@@ -3,6 +3,7 @@
 //! candidate evaluation, and the nearest-neighbour discovery walk a joiner
 //! runs before sending its join request.
 
+use crate::config::DISTANCE_PROBE_COUNT;
 use crate::events::{Effects, TimerKind};
 use crate::id::NodeId;
 use crate::messages::Message;
@@ -42,23 +43,14 @@ impl Node {
             return;
         }
         let (want, timeout, retry) = match purpose {
-            MeasurePurpose::NearestNeighbor => {
-                let want = if self.ctx.cfg.single_probe_nearest_neighbor {
-                    1
-                } else {
-                    self.ctx.cfg.distance_probe_count
-                };
-                (want, self.ctx.cfg.nn_probe_timeout_us, false)
-            }
-            _ => (self.ctx.cfg.distance_probe_count, self.ctx.cfg.t_o_us, true),
+            MeasurePurpose::NearestNeighbor => (1, self.ctx.cfg.nn_probe_timeout_us, false),
+            MeasurePurpose::ConsiderRt => (DISTANCE_PROBE_COUNT, self.ctx.cfg.t_o_us, true),
         };
-        if let Some(nonce) = self.measurement.measurer.start_with_retry(
-            target,
-            purpose,
-            want,
-            self.ctx.now_us,
-            retry,
-        ) {
+        if let Some(nonce) =
+            self.measurement
+                .measurer
+                .start(target, purpose, want, self.ctx.now_us, retry)
+        {
             self.send(target, Message::DistanceProbe { nonce }, fx);
             fx.timer(timeout, TimerKind::DistanceProbeTimeout { target, nonce });
         }
@@ -143,7 +135,9 @@ impl Node {
                     self.ctx.obs.pns_replaced();
                 }
                 let accepted = matches!(outcome, InsertedEmpty | Replaced(_) | Refreshed);
-                if accepted && self.ctx.cfg.symmetric_distance_probes {
+                // Symmetric probing (§4.2): share the measured delay so the
+                // peer can skip its own measurement.
+                if accepted {
                     self.send(target, Message::DistanceReport { rtt_us: rtt }, fx);
                 }
             }
@@ -206,7 +200,7 @@ impl Node {
         let Some(nn) = self.measurement.nn.as_mut() else {
             return;
         };
-        let step = nn.on_distance(target, dist, usize::MAX);
+        let step = nn.on_distance(target, dist);
         self.nn_execute(step, fx);
     }
 

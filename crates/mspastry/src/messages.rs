@@ -234,12 +234,6 @@ impl Message {
         }
     }
 
-    /// `true` for messages counted as control traffic (everything except
-    /// first-transmission lookups).
-    pub fn is_control(&self) -> bool {
-        self.category() != Category::Lookup
-    }
-
     /// The message variant's name, for fine-grained traffic diagnostics.
     pub fn kind_name(&self) -> &'static str {
         use Message::*;
@@ -291,8 +285,6 @@ mod tests {
     fn lookup_category_depends_on_retransmission() {
         assert_eq!(lookup(false).category(), Category::Lookup);
         assert_eq!(lookup(true).category(), Category::AckRetransmit);
-        assert!(!lookup(false).is_control());
-        assert!(lookup(true).is_control());
     }
 
     #[test]

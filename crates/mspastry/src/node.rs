@@ -113,13 +113,12 @@ impl Node {
         cfg.validate().expect("invalid MSPastry configuration");
         let half = cfg.leaf_half();
         let b = cfg.b;
-        let maintenance = Maintenance::new(&cfg);
         Node {
             rt: RoutingTable::new(id, b),
             ls: LeafSet::new(id, half),
             consistency: Consistency::new(),
             reliability: Reliability::new(),
-            maintenance,
+            maintenance: Maintenance::new(),
             measurement: Measurement::new(),
             peers: PeerTable::default(),
             ctx: Ctx {

@@ -163,7 +163,7 @@ impl PeerTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Config;
+    use crate::config::{Config, FIXED_T_RT_US, SECOND_US};
     use crate::events::{Effects, Event, TimerKind};
     use crate::id::Id;
     use crate::node::Node;
@@ -179,27 +179,24 @@ mod tests {
 
     #[test]
     fn tuner_adopts_median_of_hints() {
-        let cfg = Config {
-            fixed_t_rt_us: 50,
-            ..Config::default()
-        };
-        let tuner = SelfTuner::new(&cfg, 0);
+        // The fresh tuner's local estimate is FIXED_T_RT_US (30 s).
+        let tuner = SelfTuner::new(0);
         let mut t = PeerTable::default();
         let peers: Vec<Id> = (1..=4u128).map(Id).collect();
-        t.note_hint(peers[0], 10);
-        t.note_hint(peers[1], 20);
-        t.note_hint(peers[2], 90);
-        t.note_hint(peers[3], 100);
+        t.note_hint(peers[0], 10 * SECOND_US);
+        t.note_hint(peers[1], 20 * SECOND_US);
+        t.note_hint(peers[2], 90 * SECOND_US);
+        t.note_hint(peers[3], 100 * SECOND_US);
         let adopted = tuner.adopted(member_hints(&t, &peers));
-        assert_eq!(adopted, 50, "median of [10,20,50,90,100]");
+        assert_eq!(adopted, FIXED_T_RT_US, "median of [10,20,30,90,100] s");
         // Hints from nodes outside the routing state are ignored.
         let adopted = tuner.adopted(member_hints(&t, &peers[..1]));
-        assert_eq!(adopted, 50, "median of [10,50]");
+        assert_eq!(adopted, FIXED_T_RT_US, "median of [10,30] s");
     }
 
     #[test]
     fn tuner_forget_removes_hints() {
-        let tuner = SelfTuner::new(&Config::default(), 0);
+        let tuner = SelfTuner::new(0);
         let mut t = PeerTable::default();
         t.note_hint(Id(1), 10);
         t.forget_faulty(Id(1));

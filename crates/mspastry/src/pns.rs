@@ -1,7 +1,7 @@
 //! Proximity neighbour selection support: round-trip distance measurements
 //! and the nearest-neighbour seed-discovery state machine (§2, §4.2).
 //!
-//! A distance measurement sends `distance_probe_count` probes spaced by a
+//! A distance measurement sends `DISTANCE_PROBE_COUNT` probes spaced by a
 //! fixed interval and takes the median of the returned round trips. The
 //! nearest-neighbour algorithm uses a *single* probe per candidate to reduce
 //! join latency; the remaining measurements use more samples.
@@ -82,20 +82,9 @@ impl DistanceMeasurer {
 
     /// Starts measuring `target` with `want` samples; returns the nonce of
     /// the first probe, or `None` if a measurement is already running.
+    /// `retry_allowed` decides whether a timed-out probe is retried once
+    /// (nearest-neighbour probes skip the retry to keep join latency low).
     pub fn start(
-        &mut self,
-        target: NodeId,
-        purpose: MeasurePurpose,
-        want: u32,
-        now_us: u64,
-    ) -> Option<u64> {
-        self.start_with_retry(target, purpose, want, now_us, true)
-    }
-
-    /// Like [`DistanceMeasurer::start`], with control over whether a timed-out
-    /// probe is retried once (nearest-neighbour probes skip the retry to keep
-    /// join latency low).
-    pub fn start_with_retry(
         &mut self,
         target: NodeId,
         purpose: MeasurePurpose,
@@ -270,14 +259,14 @@ impl NnState {
             self.awaiting.insert(n);
         }
         if fresh.is_empty() {
-            self.evaluate(usize::MAX)
+            self.evaluate()
         } else {
             NnStep::Measure(fresh)
         }
     }
 
     /// Feeds a finished (or abandoned) distance measurement.
-    pub fn on_distance(&mut self, target: NodeId, dist_us: u64, deepest_row_hint: usize) -> NnStep {
+    pub fn on_distance(&mut self, target: NodeId, dist_us: u64) -> NnStep {
         self.awaiting.remove(&target);
         if dist_us != u64::MAX {
             self.dists.insert(target, dist_us);
@@ -286,7 +275,7 @@ impl NnState {
             self.current_dist = self.current_dist.min(dist_us);
         }
         if self.awaiting.is_empty() {
-            self.evaluate(deepest_row_hint)
+            self.evaluate()
         } else {
             NnStep::Wait
         }
@@ -297,7 +286,7 @@ impl NnState {
         self.phase = NnPhase::Rows(row);
     }
 
-    fn evaluate(&mut self, _deepest_row_hint: usize) -> NnStep {
+    fn evaluate(&mut self) -> NnStep {
         // Find the closest measured candidate.
         let best = self
             .dists
@@ -347,7 +336,9 @@ mod tests {
     #[test]
     fn measurement_takes_median_of_samples() {
         let mut dm = DistanceMeasurer::new();
-        let n1 = dm.start(Id(1), MeasurePurpose::ConsiderRt, 3, 0).unwrap();
+        let n1 = dm
+            .start(Id(1), MeasurePurpose::ConsiderRt, 3, 0, true)
+            .unwrap();
         assert_eq!(dm.on_reply(Id(1), n1, 100), ReplyOutcome::NeedMore);
         let n2 = dm.next_probe(Id(1), 1000).unwrap();
         assert_eq!(dm.on_reply(Id(1), n2, 1090), ReplyOutcome::NeedMore);
@@ -362,16 +353,20 @@ mod tests {
     #[test]
     fn duplicate_start_is_rejected() {
         let mut dm = DistanceMeasurer::new();
-        assert!(dm.start(Id(1), MeasurePurpose::ConsiderRt, 3, 0).is_some());
         assert!(dm
-            .start(Id(1), MeasurePurpose::NearestNeighbor, 1, 0)
+            .start(Id(1), MeasurePurpose::ConsiderRt, 3, 0, true)
+            .is_some());
+        assert!(dm
+            .start(Id(1), MeasurePurpose::NearestNeighbor, 1, 0, true)
             .is_none());
     }
 
     #[test]
     fn wrong_nonce_is_ignored() {
         let mut dm = DistanceMeasurer::new();
-        let n = dm.start(Id(1), MeasurePurpose::ConsiderRt, 1, 0).unwrap();
+        let n = dm
+            .start(Id(1), MeasurePurpose::ConsiderRt, 1, 0, true)
+            .unwrap();
         assert_eq!(dm.on_reply(Id(1), n + 99, 50), ReplyOutcome::Ignored);
         assert_eq!(
             dm.on_reply(Id(1), n, 60),
@@ -383,7 +378,7 @@ mod tests {
     fn timeout_retries_once_then_abandons() {
         let mut dm = DistanceMeasurer::new();
         let n = dm
-            .start(Id(1), MeasurePurpose::NearestNeighbor, 1, 0)
+            .start(Id(1), MeasurePurpose::NearestNeighbor, 1, 0, true)
             .unwrap();
         let MeasureTimeout::Retry(n2) = dm.on_timeout(Id(1), n, 10) else {
             panic!("expected retry");
@@ -398,7 +393,9 @@ mod tests {
     #[test]
     fn abandon_with_partial_samples_returns_median() {
         let mut dm = DistanceMeasurer::new();
-        let n = dm.start(Id(1), MeasurePurpose::ConsiderRt, 3, 0).unwrap();
+        let n = dm
+            .start(Id(1), MeasurePurpose::ConsiderRt, 3, 0, true)
+            .unwrap();
         dm.on_reply(Id(1), n, 70);
         let n2 = dm.next_probe(Id(1), 100).unwrap();
         let MeasureTimeout::Retry(n3) = dm.on_timeout(Id(1), n2, 200) else {
@@ -418,9 +415,9 @@ mod tests {
         // Seed's leaf set: nodes 2 and 3.
         let step = nn.on_candidates(own, &[Id(2), Id(3)]);
         assert_eq!(step, NnStep::Measure(vec![Id(2), Id(3)]));
-        assert_eq!(nn.on_distance(Id(2), 500, usize::MAX), NnStep::Wait);
+        assert_eq!(nn.on_distance(Id(2), 500), NnStep::Wait);
         // Node 3 is closest: move there and ask for its leaf set.
-        let step = nn.on_distance(Id(3), 100, usize::MAX);
+        let step = nn.on_distance(Id(3), 100);
         assert_eq!(step, NnStep::AskLeafSet(Id(3)));
         assert_eq!(nn.current(), Id(3));
     }
@@ -430,7 +427,7 @@ mod tests {
         let own = Id(99);
         let mut nn = NnState::new(Id(1));
         let _ = nn.on_candidates(own, &[Id(2)]);
-        let _ = nn.on_distance(Id(2), 100, usize::MAX);
+        let _ = nn.on_distance(Id(2), 100);
         // Id(2)'s leaf set has nothing new and nothing closer.
         let step = nn.on_candidates(own, &[Id(2)]);
         assert_eq!(step, NnStep::AskRow(Id(2), usize::MAX));
@@ -438,7 +435,7 @@ mod tests {
         // Row 1 brings a closer node 5.
         let step = nn.on_candidates(own, &[Id(5)]);
         assert_eq!(step, NnStep::Measure(vec![Id(5)]));
-        let step = nn.on_distance(Id(5), 10, 1);
+        let step = nn.on_distance(Id(5), 10);
         assert_eq!(step, NnStep::AskRow(Id(5), 0));
         nn.note_row(0);
         let step = nn.on_candidates(own, &[]);
@@ -449,7 +446,7 @@ mod tests {
     fn nn_records_measured_distances() {
         let mut nn = NnState::new(Id(1));
         let _ = nn.on_candidates(Id(99), &[Id(2)]);
-        let _ = nn.on_distance(Id(2), 123, usize::MAX);
+        let _ = nn.on_distance(Id(2), 123);
         assert_eq!(nn.measured().get(&Id(2)), Some(&123));
     }
 }

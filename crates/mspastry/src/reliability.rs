@@ -7,6 +7,7 @@
 //! excludes the suspect and exploits a redundant route. Nodes are only
 //! *suspected* here — confirming a failure is the consistency layer's job.
 
+use crate::config::{ACK_MAX_REROUTES, JOIN_BUFFER_CAP, ROOT_RETX_ATTEMPTS};
 use crate::diag::ProbeCause;
 use crate::events::{Action, DropReason, Effects, TimerKind};
 use crate::fxhash::{FxHashMap, FxHashSet};
@@ -114,7 +115,7 @@ impl Node {
     }
 
     pub(crate) fn buffer_lookup(&mut self, bl: BufferedLookup, fx: &mut Effects) {
-        if self.reliability.buffered.len() >= self.ctx.cfg.join_buffer_cap {
+        if self.reliability.buffered.len() >= JOIN_BUFFER_CAP {
             let reason = DropReason::BufferOverflow;
             let ev = self.ctx.hop_ev(
                 bl.id,
@@ -372,26 +373,23 @@ impl Node {
             && self.ls.closest_to(p.key, |_| false) == missed;
         if is_final_hop {
             let attempt = p.attempt + 1;
-            // Retransmission budget: with the paper's default, a few quick
-            // retries to the same root (an incorrect delivery then requires
-            // several independent losses in a row); with the
-            // consistency-over-latency variant, keep retrying until the
-            // root's failure probe resolves (mark_faulty re-routes stranded
-            // lookups the moment the root is declared dead). The short
-            // budget is only safe when excluding the root leaves an
-            // alternative candidate; if the reroute would fall back to a
-            // speculative self-delivery (every closer member suspected, none
-            // confirmed dead), use the extended budget so the backed-off
-            // retransmissions outlast the probe verdict.
+            // Retransmission budget: a few quick retries to the same root (an
+            // incorrect delivery then requires several independent losses in
+            // a row). The short budget is only safe when excluding the root
+            // leaves an alternative candidate; if the reroute would fall back
+            // to a speculative self-delivery (every closer member suspected,
+            // none confirmed dead), use the extended budget so the backed-off
+            // retransmissions outlast the probe verdict (mark_faulty re-routes
+            // stranded lookups the moment the root is declared dead).
             let suspected = &self.reliability.suspected;
             let excluded =
                 |n: NodeId| n == missed || suspected.contains(&n) || p.excluded.contains(&n);
             let reroute_self_delivers =
                 matches!(route(&self.rt, &self.ls, p.key, &excluded), NextHop::Local);
-            let budget = if self.ctx.cfg.exclude_root_on_ack_timeout && !reroute_self_delivers {
-                self.ctx.cfg.root_retx_attempts
-            } else {
+            let budget = if reroute_self_delivers {
                 4 + 3 * (self.ctx.cfg.max_probe_retries + 1)
+            } else {
+                ROOT_RETX_ATTEMPTS
             };
             if attempt <= budget {
                 self.ctx.obs.final_retx();
@@ -452,21 +450,6 @@ impl Node {
                 );
                 return;
             }
-            if !self.ctx.cfg.exclude_root_on_ack_timeout {
-                let reason = DropReason::TooManyReroutes;
-                let ev = self.ctx.hop_ev(
-                    id,
-                    HopKind::Drop,
-                    missed.0,
-                    p.hops,
-                    p.attempt,
-                    0,
-                    reason.as_str(),
-                );
-                self.ctx.obs.drop_event(reason, ev);
-                fx.actions.push(Action::LookupDropped { id, reason });
-                return;
-            }
             // Budget exhausted: fall through to exclude the root and deliver
             // at the now-closest node.
         }
@@ -474,7 +457,7 @@ impl Node {
         // node and exploit a redundant route. Only genuine reroutes count
         // against the budget — same-root retransmissions above must not
         // starve a lookup of its redundant routes.
-        if p.reroutes + 1 > self.ctx.cfg.ack_max_reroutes {
+        if p.reroutes + 1 > ACK_MAX_REROUTES {
             let reason = DropReason::TooManyReroutes;
             let ev = self.ctx.hop_ev(
                 id,

@@ -15,7 +15,7 @@
 //! local estimates of `N` (leaf-set density) and `µ` (failure history), and
 //! adopting the median of the estimates piggybacked by other nodes.
 
-use crate::config::Config;
+use crate::config::{Config, FAILURE_HISTORY_LEN, FIXED_T_RT_US};
 use crate::leaf_set::LeafSet;
 use std::collections::VecDeque;
 
@@ -49,7 +49,7 @@ pub fn raw_loss(cfg: &Config, t_rt_us: f64, mu: f64, n: f64) -> f64 {
     if h < 1.0 {
         return 0.0;
     }
-    let retr = (cfg.max_probe_retries + 1) as f64 * cfg.t_o_us as f64;
+    let retr = cfg.t_rt_floor_us() as f64;
     let p_ls = pf(cfg.t_ls_us as f64 + retr, mu);
     let p_rt = pf(t_rt_us + retr, mu);
     1.0 - (1.0 - p_ls) * (1.0 - p_rt).powf(h - 1.0)
@@ -68,7 +68,7 @@ pub fn solve_t_rt(cfg: &Config, mu: f64, n: f64) -> u64 {
         return T_RT_MAX_US;
     }
     let h = expected_hops(n, cfg.b);
-    let retr = (cfg.max_probe_retries + 1) as f64 * cfg.t_o_us as f64;
+    let retr = floor as f64;
     let p_ls = pf(cfg.t_ls_us as f64 + retr, mu);
     if h <= 1.0 {
         // Routes are a single (leaf-set) hop; routing-table probing does not
@@ -200,10 +200,10 @@ pub struct SelfTuner {
 
 impl SelfTuner {
     /// Creates the tuner at join time.
-    pub fn new(cfg: &Config, joined_at_us: u64) -> Self {
+    pub fn new(joined_at_us: u64) -> Self {
         SelfTuner {
-            history: FailureHistory::new(cfg.failure_history_len, joined_at_us),
-            local_t_rt_us: cfg.fixed_t_rt_us,
+            history: FailureHistory::new(FAILURE_HISTORY_LEN, joined_at_us),
+            local_t_rt_us: FIXED_T_RT_US,
         }
     }
 

@@ -6,6 +6,7 @@
 //! change freely without touching them. Timer-free message pumping only —
 //! the full asynchronous behaviour is exercised by the simulator tests.
 
+use mspastry::config::{JOIN_BUFFER_CAP, ROOT_RETX_ATTEMPTS};
 use mspastry::{
     Action, Config, DropReason, Effects, Event, Id, LookupId, Message, Node, NodeId, TimerKind,
 };
@@ -219,7 +220,7 @@ fn ack_timeout_reroutes_after_retx_budget() {
         }
     }
     let id = lookup_id.expect("lookup forwarded to b");
-    let retx_budget = nodes[0].config().root_retx_attempts;
+    let retx_budget = ROOT_RETX_ATTEMPTS;
     // b is the key's root, so the first timeouts retransmit to b itself.
     let mut now = 1_000_000;
     for attempt in 0..retx_budget {
@@ -274,6 +275,74 @@ fn ack_timeout_reroutes_after_retx_budget() {
         ) || matches!(a, Action::Deliver { .. })
     });
     assert!(resolved, "lookup resolved after budget: {actions:?}");
+}
+
+#[test]
+fn silent_root_with_only_self_delivery_left_gets_extended_budget() {
+    let ids = [Id(10 << 100), Id(200 << 100)];
+    let obs = obs::Obs::new(0.0, 0, false);
+    let mut a = Node::with_obs(ids[0], cfg(), obs.clone());
+    let mut fx = Effects::new();
+    a.handle(0, Event::Join { seed: None }, &mut fx);
+    let mut b = Node::new(ids[1], cfg());
+    let q = start_join(&mut b, Some(ids[0]), 1);
+    let mut nodes = vec![a, b];
+    pump(&mut nodes, q, 2);
+    assert!(nodes.iter().all(|n| n.is_active()));
+    // a sends a lookup rooted at b; b never acks. Excluding b would leave
+    // only a speculative self-delivery, so a retransmits to b for the
+    // extended budget 4 + 3·(r+1) instead of the short root budget.
+    let key = Id((200 << 100) + 1);
+    let id = step(&mut nodes[0], 100, Event::Lookup { key, payload: 9 })
+        .into_iter()
+        .find_map(|act| match act {
+            Action::Send {
+                to,
+                msg: Message::Lookup { id, .. },
+            } if to == ids[1] => Some(id),
+            _ => None,
+        })
+        .expect("lookup forwarded to b");
+    let budget = 4 + 3 * (nodes[0].config().max_probe_retries + 1);
+    assert_eq!(budget, 13);
+    let counts = || {
+        let s = obs.snapshot();
+        (s.counter("lookup.final-retx"), s.counter("lookup.reroutes"))
+    };
+    let mut now = 1_000_000;
+    for attempt in 0..=budget {
+        let retx = step(
+            &mut nodes[0],
+            now,
+            Event::Timer(TimerKind::AckTimeout {
+                lookup: id,
+                attempt,
+            }),
+        )
+        .iter()
+        .any(|a| {
+            matches!(
+                a,
+                Action::Send {
+                    to,
+                    msg: Message::Lookup {
+                        is_retransmit: true,
+                        ..
+                    },
+                } if *to == ids[1]
+            )
+        });
+        assert!(retx, "attempt {attempt} must send b another copy");
+        if attempt < budget {
+            assert_eq!(counts(), (attempt as u64 + 1, 0), "attempt {attempt}");
+        }
+        now += 1_000_000;
+    }
+    // The timeout after the budget excludes the root: a reroute, not a
+    // fourteenth final-hop retransmission. With no confirmed-dead closer
+    // node, the reroute still forwards to the suspect root rather than
+    // deliver speculatively at a.
+    assert_eq!(counts(), (budget as u64, 1));
 }
 
 #[test]
@@ -549,12 +618,10 @@ fn duplicate_lookups_are_acked_but_not_reprocessed() {
 
 #[test]
 fn join_buffer_overflow_reports_drops() {
-    let mut cfg2 = cfg();
-    cfg2.join_buffer_cap = 2;
-    let mut n = Node::new(Id(5), cfg2);
-    // Not joined yet: local lookups buffer; the third overflows.
+    let mut n = Node::new(Id(5), cfg());
+    // Not joined yet: local lookups buffer; the one past the cap overflows.
     let mut drops = 0;
-    for i in 0..3 {
+    for i in 0..JOIN_BUFFER_CAP as u64 + 1 {
         drops += step(
             &mut n,
             i,

@@ -10,6 +10,10 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use topology::{RouterId, Topology};
 
+/// Relative delay jitter: each delivery's delay is drawn uniformly from
+/// `base ± 5 %`.
+const JITTER_FRAC: f64 = 0.05;
+
 /// Index of an end host within a [`Network`].
 pub type EndpointId = usize;
 
@@ -19,7 +23,6 @@ pub struct Network {
     topo: Topology,
     attach: Vec<RouterId>,
     loss_rate: f64,
-    jitter_frac: f64,
     blackout: bool,
     rng: SmallRng,
     obs: Obs,
@@ -36,7 +39,6 @@ impl Network {
             topo,
             attach: Vec::new(),
             loss_rate: 0.0,
-            jitter_frac: 0.05,
             blackout: false,
             rng: SmallRng::seed_from_u64(seed),
             c_delivered: obs.counter("net.delivered"),
@@ -69,12 +71,6 @@ impl Network {
         self.loss_rate
     }
 
-    /// Sets the relative delay jitter (0.05 = ±5 %).
-    pub fn set_jitter(&mut self, frac: f64) {
-        assert!((0.0..1.0).contains(&frac), "jitter must be in [0, 1)");
-        self.jitter_frac = frac;
-    }
-
     /// Starts or ends a total outage: while set, every message is lost.
     /// Models transient network-wide failures (a core-router blackout).
     pub fn set_blackout(&mut self, on: bool) {
@@ -97,11 +93,6 @@ impl Network {
         let router = points[self.rng.gen_range(0..points.len())];
         self.attach.push(router);
         self.attach.len() - 1
-    }
-
-    /// Number of attached end hosts.
-    pub fn endpoint_count(&self) -> usize {
-        self.attach.len()
     }
 
     /// The router an endpoint is attached to.
@@ -131,10 +122,7 @@ impl Network {
         }
         self.obs.inc(self.c_delivered);
         let base = self.base_delay_us(a, b);
-        if self.jitter_frac == 0.0 {
-            return Some(base);
-        }
-        let jitter = (base as f64 * self.jitter_frac) as u64;
+        let jitter = (base as f64 * JITTER_FRAC) as u64;
         let d = if jitter == 0 {
             base
         } else {
@@ -161,7 +149,6 @@ mod tests {
             let r = n.router_of(e);
             assert!(n.topology().attach_points().contains(&r));
         }
-        assert_eq!(n.endpoint_count(), 10);
     }
 
     #[test]
@@ -199,7 +186,6 @@ mod tests {
     #[test]
     fn jitter_stays_within_bounds() {
         let mut n = net();
-        n.set_jitter(0.05);
         let a = n.add_endpoint();
         let b = n.add_endpoint();
         let base = n.base_delay_us(a, b);

@@ -83,11 +83,6 @@ impl Obs {
         }
     }
 
-    /// `true` unless this is a disabled handle.
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
     /// Registers (or re-finds) a counter. Returns a dummy id when disabled.
     pub fn counter(&self, name: &'static str) -> CounterId {
         match &self.inner {
@@ -279,7 +274,6 @@ mod tests {
         o.add(c, 5);
         o.record(h, 42);
         assert!(!o.sampled(1, 2));
-        assert!(!o.is_enabled());
         let s = o.snapshot();
         assert!(s.counters.is_empty() && s.histograms.is_empty());
         assert_eq!(o.take_trace().0.len(), 0);

@@ -242,24 +242,6 @@ impl DelayMatrix {
             }
         }
     }
-
-    /// Mean delay over all ordered pairs of distinct routers, in microseconds.
-    ///
-    /// On a lazy matrix this materialises every row.
-    pub fn mean_delay_us(&self) -> f64 {
-        if self.n < 2 {
-            return 0.0;
-        }
-        let mut sum = 0u64;
-        for a in 0..self.n {
-            for b in 0..self.n {
-                if a != b {
-                    sum += self.delay_us(a as RouterId, b as RouterId);
-                }
-            }
-        }
-        sum as f64 / (self.n * (self.n - 1)) as f64
-    }
 }
 
 #[cfg(test)]
@@ -321,13 +303,6 @@ mod tests {
     }
 
     #[test]
-    fn mean_delay_of_pair() {
-        let g = line_graph(2);
-        let m = g.all_pairs_delay();
-        assert_eq!(m.mean_delay_us(), 1000.0);
-    }
-
-    #[test]
     fn lazy_matrix_matches_dense() {
         let mut g = line_graph(8);
         g.add_edge(0, 7, 3.0, 2500);
@@ -342,7 +317,6 @@ mod tests {
         }
         assert_eq!(lazy.rows_materialized(), 8);
         assert_eq!(dense.rows_materialized(), 8);
-        assert_eq!(dense.mean_delay_us(), lazy.mean_delay_us());
     }
 
     #[test]
