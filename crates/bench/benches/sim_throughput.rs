@@ -1,20 +1,19 @@
 //! End-to-end simulator throughput on the Gnutella-trace reference workload.
 //!
 //! Runs the §5.1 base configuration (Gnutella-like churn on the GATech
-//! topology) a few times and reports the best events/sec plus the process
-//! peak RSS. Results land in `BENCH_throughput.json` at the repository root:
-//!
-//! * normal runs update the `current` entry and the derived `speedup`;
-//! * `MSPASTRY_BENCH_BASELINE=1` (re)records the `baseline` entry instead —
-//!   used once, on the pre-optimization tree, so later runs compare against
-//!   a fixed reference measured by the same harness on the same machine.
+//! topology) a few times and reports the best and median events/sec plus the
+//! process peak RSS. Each run of the bench appends one entry to the
+//! trajectory in `BENCH_throughput.json` at the repository root: the commit
+//! (`git rev-parse --short HEAD`, `+dirty` with uncommitted changes), the
+//! host's `nproc`, best and median events/sec, the best run's wall time,
+//! `sim_events` and peak RSS. Earlier entries are never rewritten.
 //!
 //! `MSPASTRY_SCALE=full` runs the paper-scale trace (hours of wall time).
 //! `MSPASTRY_BENCH_RUNS=n` overrides the number of runs (default 3) — handy
 //! for interleaved A/B comparisons on hosts with drifting clock speed.
 //! `MSPASTRY_TRACE_RATE=r` enables hop-trace sampling at rate `r` to measure
 //! the flight-recorder overhead; results are printed but *not* written to
-//! `BENCH_throughput.json` (the reference file tracks the untraced path).
+//! `BENCH_throughput.json` (the trajectory tracks the untraced path).
 
 use harness::scenario::{scale, Scale};
 
@@ -39,35 +38,54 @@ fn peak_rss_kb() -> u64 {
         .unwrap_or(0)
 }
 
-/// Pulls `"key": { ... }` out of a flat hand-rolled JSON object.
-fn extract_object<'a>(json: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\": {{");
-    let start = json.find(&needle)? + needle.len() - 1;
-    let end = json[start..].find('}')? + start;
-    Some(&json[start..=end])
+/// The checked-out commit, `+dirty` when the tree has uncommitted changes;
+/// `unknown` outside a git checkout.
+fn commit() -> String {
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .current_dir(env!("CARGO_MANIFEST_DIR"))
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+    };
+    let Some(head) = git(&["rev-parse", "--short", "HEAD"]) else {
+        return "unknown".to_string();
+    };
+    match git(&["status", "--porcelain", "--untracked-files=no"]) {
+        Some(status) if status.is_empty() => head,
+        _ => format!("{head}+dirty"),
+    }
 }
 
-fn extract_number(obj: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let start = obj.find(&needle)? + needle.len();
-    let rest = obj[start..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+/// The entries of an existing trajectory file, one JSON object per line.
+fn existing_entries(json: &str) -> Vec<String> {
+    json.lines()
+        .map(str::trim)
+        .filter(|l| l.starts_with('{') && l.contains("\"sim_events\""))
+        .map(|l| l.trim_end_matches(',').to_string())
+        .collect()
 }
 
 struct Measurement {
-    events_per_sec: f64,
+    best_events_per_sec: f64,
+    median_events_per_sec: f64,
     wall_s: f64,
     sim_events: u64,
     peak_rss_mb: f64,
 }
 
 fn entry_json(m: &Measurement) -> String {
+    let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
     format!(
-        "{{ \"events_per_sec\": {:.0}, \"wall_s\": {:.2}, \"sim_events\": {}, \"peak_rss_mb\": {:.1} }}",
-        m.events_per_sec, m.wall_s, m.sim_events, m.peak_rss_mb
+        "{{ \"commit\": \"{}\", \"nproc\": {nproc}, \"best_events_per_sec\": {:.0}, \"median_events_per_sec\": {:.0}, \"wall_s\": {:.2}, \"sim_events\": {}, \"peak_rss_mb\": {:.1} }}",
+        commit(),
+        m.best_events_per_sec,
+        m.median_events_per_sec,
+        m.wall_s,
+        m.sim_events,
+        m.peak_rss_mb
     )
 }
 
@@ -90,7 +108,8 @@ fn main() {
         .get("fig4_traces")
         .expect("registered scenario")
         .expand(s);
-    let mut best: Option<Measurement> = None;
+    let mut rates = Vec::new();
+    let mut best: Option<(f64, u64)> = None;
     for run in 0..runs() {
         let mut cfg = (points[0].build)(0);
         cfg.trace_sample_rate = trace_rate;
@@ -105,57 +124,53 @@ fn main() {
             res.sim_events,
             eps
         );
-        if best.as_ref().is_none_or(|b| eps > b.events_per_sec) {
-            best = Some(Measurement {
-                events_per_sec: eps,
-                wall_s: wall,
-                sim_events: res.sim_events,
-                peak_rss_mb: peak_rss_kb() as f64 / 1024.0,
-            });
+        if best.is_none_or(|(w, _)| wall < w) {
+            best = Some((wall, res.sim_events));
         }
+        rates.push(eps);
     }
-    let mut m = best.expect("at least one run");
-    // VmHWM only grows; attribute the final peak to the best run.
-    m.peak_rss_mb = peak_rss_kb() as f64 / 1024.0;
+    let (wall_s, sim_events) = best.expect("at least one run");
+    rates.sort_by(f64::total_cmp);
+    let mid = rates.len() / 2;
+    let median = if rates.len() % 2 == 1 {
+        rates[mid]
+    } else {
+        (rates[mid - 1] + rates[mid]) / 2.0
+    };
+    // VmHWM only grows; it is the peak over all runs.
+    let m = Measurement {
+        best_events_per_sec: sim_events as f64 / wall_s,
+        median_events_per_sec: median,
+        wall_s,
+        sim_events,
+        peak_rss_mb: peak_rss_kb() as f64 / 1024.0,
+    };
 
     if trace_rate > 0.0 {
         println!(
             "best (traced at {trace_rate}): {:.0} events/sec, peak RSS {:.1} MB",
-            m.events_per_sec, m.peak_rss_mb
+            m.best_events_per_sec, m.peak_rss_mb
         );
         return;
     }
 
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_throughput.json");
-    let existing = std::fs::read_to_string(path).unwrap_or_default();
-    let record_baseline = std::env::var("MSPASTRY_BENCH_BASELINE").is_ok();
-    let baseline = if record_baseline {
-        entry_json(&m)
-    } else {
-        extract_object(&existing, "baseline")
-            .map(str::to_string)
-            .unwrap_or_else(|| entry_json(&m))
-    };
-    let current = entry_json(&m);
-    let baseline_eps = extract_number(&baseline, "events_per_sec").unwrap_or(m.events_per_sec);
-    let speedup = m.events_per_sec / baseline_eps.max(1.0);
-
+    let mut entries = existing_entries(&std::fs::read_to_string(path).unwrap_or_default());
+    entries.push(entry_json(&m));
     let json = format!(
-        "{{\n  \"workload\": \"gnutella {} / GATech ({:?} scale)\",\n  \"baseline\": {},\n  \"current\": {},\n  \"speedup\": {:.2}\n}}\n",
+        "{{\n  \"workload\": \"gnutella {} / GATech ({:?} scale)\",\n  \"entries\": [\n    {}\n  ]\n}}\n",
         if s == Scale::Full { "full" } else { "quick" },
         s,
-        baseline,
-        current,
-        speedup
+        entries.join(",\n    ")
     );
     if let Err(e) = std::fs::write(path, &json) {
         eprintln!("cannot write {path}: {e}");
     }
     println!(
-        "best: {:.0} events/sec, peak RSS {:.1} MB ({}x vs baseline {:.0})",
-        m.events_per_sec,
+        "best: {:.0} events/sec, median {:.0}, peak RSS {:.1} MB (entry {} of {path})",
+        m.best_events_per_sec,
+        m.median_events_per_sec,
         m.peak_rss_mb,
-        format_args!("{speedup:.2}"),
-        baseline_eps
+        entries.len()
     );
 }

@@ -271,17 +271,17 @@ impl Node {
                     .get(&n)
                     .copied()
                     .unwrap_or_else(|| self.peers.known_dist(n));
-                self.rt.offer(n, d);
+                self.rt_offer(n, d);
             }
         }
         for &n in &leaf_set {
             let d = self.peers.known_dist(n);
-            self.rt.offer(n, d);
-            self.ls.add(n);
+            self.rt_offer(n, d);
+            self.ls_add(n);
         }
         // The replying root spoke to us directly.
-        self.ls.add(from);
-        self.rt.offer(from, self.peers.known_dist(from));
+        self.ls_add(from);
+        self.rt_offer(from, self.peers.known_dist(from));
         // Probe every leaf-set member before becoming active.
         for m in self.ls.members() {
             if self.probe(m, ProbeKind::LeafSet, true, fx) {
@@ -365,8 +365,8 @@ impl Node {
         // failed_i := failed_i − {j}
         self.consistency.unfail(j);
         // L_i.add({j}); R_i.add({j}) — j spoke to us directly.
-        self.ls.add(j);
-        self.rt.offer(j, self.peers.known_dist(j));
+        self.ls_add(j);
+        self.rt_offer(j, self.peers.known_dist(j));
         // Probe members the sender believes faulty (to confirm / recover from
         // false positives), then drop them from the leaf set.
         for &n in &failed {
@@ -375,7 +375,7 @@ impl Node {
                 if self.probe(n, ProbeKind::LeafSet, false, fx) {
                     self.ctx.obs.cause(ProbeCause::Confirm);
                 }
-                self.ls.remove(n);
+                self.ls_remove(n);
             }
         }
         // Candidates from the sender's leaf set are probed before inclusion.
@@ -485,8 +485,8 @@ impl Node {
 
     pub(crate) fn mark_faulty(&mut self, j: NodeId, announce: bool, fx: &mut Effects) {
         let was_ls_member = self.ls.contains(j);
-        self.ls.remove(j);
-        self.rt.remove(j);
+        self.ls_remove(j);
+        self.rt_remove(j);
         self.consistency.insert_failed(j);
         self.maintenance.tuner.record_failure(self.ctx.now_us);
         self.peers.forget_faulty(j);

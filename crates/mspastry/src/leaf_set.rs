@@ -106,6 +106,16 @@ impl LeafSet {
         self.left.contains(&id) || self.right.contains(&id)
     }
 
+    /// Number of distinct members.
+    pub fn len(&self) -> usize {
+        self.iter().count()
+    }
+
+    /// `true` if the set has no members.
+    pub fn is_empty(&self) -> bool {
+        self.left.is_empty() && self.right.is_empty()
+    }
+
     /// Offers `id` for membership; returns `true` if the set changed.
     ///
     /// The caller is responsible for the consistency rule that a node is only
@@ -113,8 +123,16 @@ impl LeafSet {
     /// the join bootstrap, where every candidate is probed before the node
     /// becomes active).
     pub fn add(&mut self, id: NodeId) -> bool {
+        self.add_evicting(id).is_some()
+    }
+
+    /// [`LeafSet::add`] that also reports what the insertion pushed off:
+    /// `None` if the set is unchanged, otherwise the member dropped from the
+    /// far end of each full side `id` joined (left, then right). A dropped
+    /// node may still sit on the other side.
+    pub fn add_evicting(&mut self, id: NodeId) -> Option<[Option<NodeId>; 2]> {
         if id == self.own {
-            return false;
+            return None;
         }
         let ccw = self.own.ccw_dist(id);
         let cw = self.own.cw_dist(id);
@@ -134,16 +152,19 @@ impl LeafSet {
             |o, n| o.cw_dist(n),
             self.own,
         );
-        if l || r {
-            self.recompute_overlap();
+        if l.is_none() && r.is_none() {
+            return None;
         }
-        l || r
+        self.recompute_overlap();
+        Some([l.flatten(), r.flatten()])
     }
 
     fn recompute_overlap(&mut self) {
         self.overlap = self.left.iter().any(|l| self.right.contains(l));
     }
 
+    /// Inserts `id` into one side: `None` if it does not belong there,
+    /// otherwise the member pushed off a full side, if any.
     fn insert_side(
         side: &mut Vec<NodeId>,
         id: NodeId,
@@ -151,20 +172,19 @@ impl LeafSet {
         half: usize,
         dist_of: impl Fn(NodeId, NodeId) -> u128,
         own: NodeId,
-    ) -> bool {
+    ) -> Option<Option<NodeId>> {
         if side.contains(&id) {
-            return false;
+            return None;
         }
         let pos = side
             .iter()
             .position(|&m| dist_of(own, m) > dist)
             .unwrap_or(side.len());
         if pos >= half {
-            return false;
+            return None;
         }
         side.insert(pos, id);
-        side.truncate(half);
-        true
+        Some((side.len() > half).then(|| side.pop().expect("side over capacity")))
     }
 
     /// `true` if offering `id` would change the set (used to decide whether a
@@ -532,6 +552,33 @@ mod tests {
         assert!(s.remove(Id(1 << 100)));
         assert!(s.left().is_empty() && s.right().is_empty());
         assert!(!s.remove(Id(1 << 100)));
+    }
+
+    #[test]
+    fn add_evicting_reports_members_pushed_off() {
+        let mut s = ls(1000, 2);
+        assert_eq!(s.add_evicting(Id(1010)), Some([None, None]));
+        assert_eq!(s.add_evicting(Id(1020)), Some([None, None]));
+        assert_eq!(s.add_evicting(Id(1010)), None, "already a member");
+        assert_eq!(s.add_evicting(Id(1000)), None, "own id");
+        // 1005 is closer than 1020 on the full right side. The set still
+        // wraps the ring, so 1020 stays a member on the left side.
+        assert_eq!(s.add_evicting(Id(1005)), Some([None, Some(Id(1020))]));
+        assert_eq!(s.right(), &[Id(1005), Id(1010)]);
+        assert_eq!(s.left(), &[Id(1020), Id(1010)]);
+        assert!(s.contains(Id(1020)));
+        assert_eq!(s.len(), 3);
+    }
+
+    #[test]
+    fn len_counts_distinct_members() {
+        let mut s = ls(0, 2);
+        assert!(s.is_empty());
+        s.add(Id(1 << 100));
+        assert_eq!(s.len(), 1, "a node on both sides counts once");
+        s.add(Id(5));
+        assert_eq!(s.len(), s.members().len());
+        assert!(!s.is_empty());
     }
 
     #[test]

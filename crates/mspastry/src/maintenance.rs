@@ -113,35 +113,46 @@ impl Node {
         if !self.ctx.active || !self.ctx.cfg.self_tuning {
             return;
         }
-        // The distinct routing-state members (the table, plus the leaf-set
-        // members it does not hold) and their hints.
-        let (rt, ls) = (&self.rt, &self.ls);
-        let mut m = 0;
-        let mut hints = Vec::new();
-        for n in rt
-            .entries()
-            .map(|e| e.id)
-            .chain(ls.iter().filter(|&n| !rt.contains(n)))
-        {
-            m += 1;
-            hints.extend(self.peers.hint(n));
-        }
+        #[cfg(debug_assertions)]
+        self.check_member_state();
+        // The per-peer table keeps the member count and the members' sorted
+        // hints current as the routing state changes.
         let now = self.ctx.now_us;
         self.maintenance.t_rt_us = self
             .maintenance
             .tuner
-            .recompute(&self.ctx.cfg, now, m, ls, hints)
+            .recompute(
+                &self.ctx.cfg,
+                now,
+                self.peers.member_count(),
+                &self.ls,
+                self.peers.member_hints(),
+            )
             .max(self.ctx.cfg.t_rt_floor_us());
         self.ctx.obs.t_rt(self.maintenance.t_rt_us);
         // Opportunistic pruning of per-peer state.
         let horizon = 4 * self.ctx.cfg.t_ls_us;
         self.peers
-            .prune(now, horizon, self.ctx.cfg.rt_maintenance_period_us, |n| {
-                rt.contains(n) || ls.contains(n)
-            });
+            .prune(now, horizon, self.ctx.cfg.rt_maintenance_period_us);
         self.consistency
             .repair_paced
             .retain(|_, &mut t| now.saturating_sub(t) < horizon);
+    }
+
+    /// Recomputes the routing-state members and their sorted hints from the
+    /// routing table and leaf set, and checks the per-peer table's
+    /// incremental copy against them.
+    #[cfg(debug_assertions)]
+    fn check_member_state(&self) {
+        let ids = self.routing_state_ids();
+        assert_eq!(self.peers.member_count(), ids.len(), "member count");
+        assert!(
+            ids.iter().all(|&n| self.peers.is_member(n)),
+            "unflagged member"
+        );
+        let mut hints: Vec<u64> = ids.iter().filter_map(|&n| self.peers.hint(n)).collect();
+        hints.sort_unstable();
+        assert_eq!(self.peers.member_hints(), hints, "member hints");
     }
 
     // ----- passive RT exchange handlers -------------------------------------

@@ -129,7 +129,7 @@ impl Node {
             MeasurePurpose::NearestNeighbor => self.nn_feed_distance(target, rtt, fx),
             MeasurePurpose::ConsiderRt => {
                 self.ctx.obs.pns_measured();
-                let outcome = self.rt.offer(target, rtt);
+                let outcome = self.rt_offer(target, rtt);
                 use crate::routing_table::InsertOutcome::*;
                 if matches!(outcome, Replaced(_)) {
                     self.ctx.obs.pns_replaced();
@@ -147,7 +147,7 @@ impl Node {
     /// Symmetric probing: the peer measured us; reuse its value.
     pub(crate) fn on_distance_report(&mut self, from: NodeId, rtt_us: u64) {
         self.peers.note_dist(from, rtt_us, self.ctx.now_us);
-        self.rt.offer(from, rtt_us);
+        self.rt_offer(from, rtt_us);
     }
 
     pub(crate) fn consider_rt_candidate(&mut self, n: NodeId, fx: &mut Effects) {
@@ -159,7 +159,7 @@ impl Node {
         // maintenance round).
         if let Some((d, at)) = self.peers.dist(n) {
             if self.ctx.now_us.saturating_sub(at) < self.ctx.cfg.rt_maintenance_period_us {
-                self.rt.offer(n, d);
+                self.rt_offer(n, d);
                 return;
             }
         }

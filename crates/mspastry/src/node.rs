@@ -33,7 +33,7 @@ use crate::measurement::Measurement;
 use crate::messages::{LookupId, Message};
 use crate::peers::PeerTable;
 use crate::reliability::Reliability;
-use crate::routing_table::RoutingTable;
+use crate::routing_table::{InsertOutcome, RoutingTable};
 use obs::{HopEvent, HopKind};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -283,6 +283,56 @@ impl Node {
         debug_assert_ne!(to, self.ctx.id, "node must not message itself");
         self.peers.note_sent(to, self.ctx.now_us);
         fx.send(to, msg);
+    }
+
+    // ----- routing-state edits ---------------------------------------------
+    //
+    // Every change to the routing table or the leaf set goes through these,
+    // so the per-peer table's membership flags, member count and sorted
+    // member hints stay current for the self-tuning tick.
+
+    /// Re-checks whether `n` is in the routing state.
+    fn sync_member(&mut self, n: NodeId) {
+        let member = self.rt.contains(n) || self.ls.contains(n);
+        self.peers.set_member(n, member);
+    }
+
+    /// Offers `n` to the routing table at distance `dist_us`.
+    pub(crate) fn rt_offer(&mut self, n: NodeId, dist_us: u64) -> InsertOutcome {
+        let outcome = self.rt.offer(n, dist_us);
+        match outcome {
+            InsertOutcome::InsertedEmpty => self.sync_member(n),
+            InsertOutcome::Replaced(old) => {
+                self.sync_member(n);
+                self.sync_member(old);
+            }
+            InsertOutcome::Refreshed | InsertOutcome::Rejected | InsertOutcome::SelfId => {}
+        }
+        outcome
+    }
+
+    /// Removes `n` from the routing table.
+    pub(crate) fn rt_remove(&mut self, n: NodeId) {
+        if self.rt.remove(n) {
+            self.sync_member(n);
+        }
+    }
+
+    /// Offers `n` to the leaf set.
+    pub(crate) fn ls_add(&mut self, n: NodeId) {
+        if let Some(evicted) = self.ls.add_evicting(n) {
+            self.sync_member(n);
+            for e in evicted.into_iter().flatten() {
+                self.sync_member(e);
+            }
+        }
+    }
+
+    /// Removes `n` from the leaf set.
+    pub(crate) fn ls_remove(&mut self, n: NodeId) {
+        if self.ls.remove(n) {
+            self.sync_member(n);
+        }
     }
 
     /// The leaf-set members closest to `key` (ring-distance order, up to 8),

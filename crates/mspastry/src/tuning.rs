@@ -118,20 +118,19 @@ pub fn solve_t_rt(cfg: &Config, mu: f64, n: f64) -> u64 {
 
 /// Estimates the overlay size from the density of nodeIds in the leaf set.
 pub fn estimate_n(ls: &LeafSet) -> f64 {
-    let members = ls.members();
-    if members.is_empty() {
+    if ls.is_empty() {
         return 1.0;
     }
+    let members = ls.len();
     let (Some(lm), Some(rm)) = (ls.leftmost(), ls.rightmost()) else {
-        return (members.len() + 1) as f64;
+        return (members + 1) as f64;
     };
     let span = lm.cw_dist(rm);
     if span == 0 {
-        return (members.len() + 1) as f64;
+        return (members + 1) as f64;
     }
-    // `members.len() + 1` nodes (incl. own) span the arc with
-    // `members.len()` gaps.
-    let gaps = members.len() as f64;
+    // `members + 1` nodes (incl. own) span the arc with `members` gaps.
+    let gaps = members as f64;
     let ring = 2f64.powi(128);
     (gaps * ring / span as f64).max(2.0)
 }
@@ -225,21 +224,27 @@ impl SelfTuner {
         now_us: u64,
         m_unique: usize,
         ls: &LeafSet,
-        hints: Vec<u64>,
+        sorted_hints: &[u64],
     ) -> u64 {
         let mu = self.history.estimate_mu(now_us, m_unique);
         let n = estimate_n(ls);
         self.local_t_rt_us = solve_t_rt(cfg, mu, n);
-        self.adopted(hints)
+        self.adopted(sorted_hints)
     }
 
-    /// The median of the local estimate and `hints`, the hints of the nodes
-    /// currently in the routing state (a multiset: their order is
-    /// irrelevant).
-    pub fn adopted(&self, mut hints: Vec<u64>) -> u64 {
-        hints.push(self.local_t_rt_us);
-        hints.sort_unstable();
-        hints[hints.len() / 2]
+    /// The median of the local estimate and `sorted_hints`, the ascending
+    /// hints of the nodes currently in the routing state: element
+    /// `(k+1)/2` of the `k` hints merged with the local estimate.
+    pub fn adopted(&self, sorted_hints: &[u64]) -> u64 {
+        debug_assert!(sorted_hints.is_sorted());
+        let local = self.local_t_rt_us;
+        let at = sorted_hints.partition_point(|&h| h < local);
+        let mid = sorted_hints.len().div_ceil(2);
+        match mid.cmp(&at) {
+            std::cmp::Ordering::Less => sorted_hints[mid],
+            std::cmp::Ordering::Equal => local,
+            std::cmp::Ordering::Greater => sorted_hints[mid - 1],
+        }
     }
 }
 
