@@ -38,8 +38,9 @@
 //!   --timeseries PATH   write per-interval metric deltas (mspastry-ts/1
 //!                       JSONL) to PATH
 //!   --ts-interval SECS  time-series sampling interval, seconds    [60]
-//!   --profile           self-profile the run loop (per-event-kind counts
-//!                       and wall time; adds "prof" to the JSON artifact)
+//!   --profile           self-profile the run loop: per-event-kind handler
+//!                       time, queue pop time and depth, on stderr and as
+//!                       "prof" in the JSON artifact (same schema as "diag")
 //! ```
 
 use churn::poisson::PoissonParams;
@@ -290,22 +291,7 @@ fn main() {
         }
     }
     if let Some(p) = &res.prof {
-        eprintln!(
-            "profile: {} events in {:.2}s wall, queue depth mean {:.0} / max {}",
-            p.events,
-            p.wall_us as f64 / 1e6,
-            p.depth_mean,
-            p.depth_max
-        );
-        for k in &p.kinds {
-            eprintln!(
-                "  {:>12}: {:>10} events, {:>8.1} ms, {:>6.0} ns/event",
-                k.name,
-                k.count,
-                k.ns as f64 / 1e6,
-                k.ns as f64 / k.count.max(1) as f64
-            );
-        }
+        eprint!("{}", harness::profile_table(p));
     }
 }
 

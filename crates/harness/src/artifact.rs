@@ -84,8 +84,9 @@ pub fn report_json(w: &mut JsonWriter, r: &Report) {
 /// [`obs::trace_jsonl`]). When the corresponding collectors ran, two more
 /// members follow: `timeseries` (sampling summary — the series itself is a
 /// separate `mspastry-ts/1` JSONL artifact, see [`obs::ts_jsonl`]) and
-/// `prof` (the run-loop self-profile; wall-clock based, so excluded from
-/// the bit-identical artifact guarantee).
+/// `prof` (the run-loop self-profile, a registry snapshot in the same schema
+/// as `diag`; wall-clock based, so excluded from the bit-identical artifact
+/// guarantee).
 pub fn run_json(res: &RunResult) -> String {
     let mut w = JsonWriter::new();
     w.begin_object();
@@ -122,10 +123,48 @@ pub fn run_json(res: &RunResult) -> String {
     }
     if let Some(p) = &res.prof {
         w.key("prof");
-        obs::prof_json(&mut w, p);
+        obs::snapshot_json(&mut w, p);
     }
     w.end_object();
     w.finish()
+}
+
+/// Renders a run-loop self-profile ([`RunResult::prof`]) as a text table:
+/// a totals line, then one row per event kind that fired, with its handler
+/// time and p50/p90/p99.
+pub fn profile_table(p: &obs::Snapshot) -> String {
+    use std::fmt::Write;
+    let kinds: Vec<_> = p
+        .histograms
+        .iter()
+        .filter_map(|(name, h)| Some((name.strip_prefix("event_ns.")?, h)))
+        .filter(|(_, h)| h.count > 0)
+        .collect();
+    let (pop, depth) = (p.histogram("queue.pop_ns"), p.histogram("queue.depth"));
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "profile: {} events in {:.2}s wall, queue pop {:.1} ms, queue depth mean {:.0} / max {}",
+        kinds.iter().map(|(_, h)| h.count).sum::<u64>(),
+        p.counter("wall_us") as f64 / 1e6,
+        pop.map_or(0, |h| h.sum) as f64 / 1e6,
+        depth.map_or(0.0, |h| h.sum as f64 / h.count.max(1) as f64),
+        p.counter("queue.high_water")
+    );
+    for (name, h) in kinds {
+        let _ = writeln!(
+            out,
+            "  {:>12}: {:>10} events, {:>8.1} ms, {:>6.0} ns/event, p50/p90/p99 {}/{}/{} ns",
+            name,
+            h.count,
+            h.sum as f64 / 1e6,
+            h.sum as f64 / h.count as f64,
+            h.p50.unwrap_or(0),
+            h.p90.unwrap_or(0),
+            h.p99.unwrap_or(0)
+        );
+    }
+    out
 }
 
 #[cfg(test)]

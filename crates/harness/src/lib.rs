@@ -38,7 +38,7 @@ pub mod scenario;
 pub mod sweep;
 pub mod table;
 
-pub use artifact::{report_json, run_json, RUN_SCHEMA};
+pub use artifact::{profile_table, report_json, run_json, RUN_SCHEMA};
 pub use metrics::{category_index, Report, WindowReport, CATEGORY_NAMES, N_CATEGORIES};
 pub use oracle::Oracle;
 pub use runner::{run, DeliveryRecord, RunConfig, RunResult, ScriptedLookup, Workload};

@@ -143,10 +143,10 @@ pub struct RunConfig {
     /// between events and never perturbs the simulation. At most 8192
     /// windows are kept; past that the oldest are dropped (and counted).
     pub ts_interval_us: u64,
-    /// Self-profile the run loop: per-event-kind dispatch counts and wall
-    /// time, plus event-queue depth gauges, reported under
-    /// [`RunResult::prof`]. Wall-clock readings are nondeterministic, so the
-    /// profile lives outside the bit-identical artifact guarantee.
+    /// Self-profile the run loop: per-event-kind handler wall time, queue-pop
+    /// time and queue depth histograms, reported under [`RunResult::prof`].
+    /// Wall-clock readings are nondeterministic, so the profile lives
+    /// outside the bit-identical artifact guarantee.
     pub profile: bool,
 }
 
@@ -218,8 +218,10 @@ pub struct RunResult {
     /// Per-interval metric deltas (only if `ts_interval_us > 0`); serialise
     /// with [`obs::ts_jsonl`].
     pub timeseries: Option<obs::TimeSeries>,
-    /// Run-loop self-profile (only if `profile`).
-    pub prof: Option<obs::ProfReport>,
+    /// Run-loop self-profile (only if `profile`): a registry snapshot of
+    /// its own with histograms `event_ns.<kind>`, `queue.pop_ns` and
+    /// `queue.depth`, and counters `wall_us` and `queue.high_water`.
+    pub prof: Option<obs::Snapshot>,
 }
 
 #[derive(Debug)]
@@ -296,47 +298,62 @@ struct World {
     timeseries: Option<obs::TimeSeries>,
 }
 
-/// Self-profiling state: the accumulator plus pre-registered kind slots, so
-/// the run loop only indexes on the hot path.
+/// Self-profiling state: a registry of its own (so the diagnostic one stays
+/// untouched) plus the ids interned at setup, so the run loop only indexes.
 struct Prof {
-    profiler: obs::Profiler,
+    reg: obs::Registry,
     start: std::time::Instant,
-    msg: obs::prof::KindId,
-    timer: obs::prof::KindId,
-    join: obs::prof::KindId,
-    fail: obs::prof::KindId,
-    next_lookup: obs::prof::KindId,
-    scripted: obs::prof::KindId,
-    outage: obs::prof::KindId,
+    /// Handler nanoseconds per event kind, in [`Prof::kind_of`] order.
+    kinds: [HistId; 7],
+    pop_ns: HistId,
+    depth: HistId,
 }
 
 impl Prof {
     fn new() -> Self {
-        let mut profiler = obs::Profiler::new();
+        let reg = obs::Registry::new();
         Prof {
-            msg: profiler.kind("msg"),
-            timer: profiler.kind("timer"),
-            join: profiler.kind("join"),
-            fail: profiler.kind("fail"),
-            next_lookup: profiler.kind("next-lookup"),
-            scripted: profiler.kind("scripted"),
-            outage: profiler.kind("outage"),
+            kinds: [
+                "event_ns.msg",
+                "event_ns.timer",
+                "event_ns.join",
+                "event_ns.fail",
+                "event_ns.next-lookup",
+                "event_ns.scripted",
+                "event_ns.outage",
+            ]
+            .map(|name| reg.histogram(name)),
+            pop_ns: reg.histogram("queue.pop_ns"),
+            depth: reg.histogram("queue.depth"),
             start: std::time::Instant::now(),
-            profiler,
+            reg,
         }
     }
 
-    fn kind_of(&self, ev: &Ev) -> Option<obs::prof::KindId> {
-        match ev {
-            Ev::Msg { .. } => Some(self.msg),
-            Ev::Timer { .. } => Some(self.timer),
-            Ev::Join(_) => Some(self.join),
-            Ev::Fail(_) => Some(self.fail),
-            Ev::NextLookup { .. } => Some(self.next_lookup),
-            Ev::Scripted(_) => Some(self.scripted),
-            Ev::Outage(_) => Some(self.outage),
-            Ev::TsSample | Ev::End => None,
+    fn kind_of(&self, ev: &Ev) -> Option<HistId> {
+        let i = match ev {
+            Ev::Msg { .. } => 0,
+            Ev::Timer { .. } => 1,
+            Ev::Join(_) => 2,
+            Ev::Fail(_) => 3,
+            Ev::NextLookup { .. } => 4,
+            Ev::Scripted(_) => 5,
+            Ev::Outage(_) => 6,
+            Ev::TsSample | Ev::End => return None,
+        };
+        Some(self.kinds[i])
+    }
+
+    /// Adds the run-level counters and freezes the profile.
+    fn finish(self, queue_high_water: usize) -> obs::Snapshot {
+        let wall_us = self.start.elapsed().as_micros() as u64;
+        for (name, v) in [
+            ("wall_us", wall_us),
+            ("queue.high_water", queue_high_water as u64),
+        ] {
+            self.reg.add(self.reg.counter(name), v);
         }
+        self.reg.snapshot()
     }
 }
 
@@ -498,8 +515,8 @@ impl Runner {
             let Some(ev) = self.world.queue.pop() else {
                 break;
             };
-            if let (Some(p), Some(t0)) = (self.prof.as_mut(), t_pop) {
-                p.profiler.record_pop(t0.elapsed().as_nanos() as u64);
+            if let (Some(p), Some(t0)) = (self.prof.as_ref(), t_pop) {
+                p.reg.record(p.pop_ns, t0.elapsed().as_nanos() as u64);
             }
             let now = ev.at_us;
             if matches!(ev.payload, Ev::TsSample) {
@@ -534,9 +551,9 @@ impl Runner {
                 Ev::Outage(on) => self.world.net.set_blackout(on),
                 Ev::TsSample => unreachable!("handled above"),
             }
-            if let (Some(p), Some(kind), Some(t0)) = (self.prof.as_mut(), kind, t0) {
-                p.profiler.record(kind, t0.elapsed().as_nanos() as u64);
-                p.profiler.gauge_depth(self.world.queue.len());
+            if let (Some(p), Some(kind), Some(t0)) = (self.prof.as_ref(), kind, t0) {
+                p.reg.record(kind, t0.elapsed().as_nanos() as u64);
+                p.reg.record(p.depth, self.world.queue.len() as u64);
             }
         }
         let mut w = self.world;
@@ -544,12 +561,7 @@ impl Runner {
         if let Some(ts) = w.timeseries.as_mut() {
             ts.sample(w.queue.now_us(), &w.obs.snapshot());
         }
-        let prof = self.prof.as_ref().map(|p| {
-            p.profiler.report(
-                p.start.elapsed().as_micros() as u64,
-                w.queue.high_water_mark() as u64,
-            )
-        });
+        let prof = self.prof.map(|p| p.finish(w.queue.high_water_mark()));
         let final_active = w.active_list.len();
         let mut trt_sum = 0.0;
         let mut trt_n = 0u64;
@@ -797,7 +809,6 @@ impl World {
             Some(&src) if src != ep => self.net.base_delay_us(src, ep),
             _ => 0,
         };
-        self.metrics.sight_lookup(d.id, d.issued_at_us);
         self.metrics
             .on_delivered(now, d.id, d.issued_at_us, correct, d.hops, direct);
         if d.issued_at_us >= self.cfg.warmup_us {
@@ -1017,9 +1028,19 @@ mod tests {
         // Every simulation event except the final `End` (which breaks out of
         // the loop before recording) is profiled; TsSample events are not
         // simulation events at all.
-        assert_eq!(prof.events, res.sim_events - 1);
-        assert!(prof.kinds.iter().any(|k| k.name == "msg"));
-        assert!(prof.depth_max > 0 && prof.depth_samples > 0);
+        let kinds: Vec<_> = prof
+            .histograms
+            .iter()
+            .filter(|(name, _)| name.starts_with("event_ns."))
+            .collect();
+        let events: u64 = kinds.iter().map(|(_, h)| h.count).sum();
+        assert_eq!(events, res.sim_events - 1);
+        assert!(kinds
+            .iter()
+            .any(|(name, h)| name == "event_ns.msg" && h.count > 0));
+        let depth = prof.histogram("queue.depth").expect("depth histogram");
+        assert!(depth.max > Some(0) && depth.count == events);
+        assert!(prof.counter("queue.high_water") > 0);
     }
 
     #[test]

@@ -106,6 +106,15 @@ fn telemetry_is_a_pure_observer() {
         run(c)
     };
     let telem = run(with_telemetry(9));
+    // Every simulation event but the final `End` went through the profiler.
+    let prof = telem.prof.as_ref().expect("profiler ran");
+    let profiled: u64 = prof
+        .histograms
+        .iter()
+        .filter(|(name, _)| name.starts_with("event_ns."))
+        .map(|(_, h)| h.count)
+        .sum();
+    assert_eq!(profiled, telem.sim_events - 1);
 
     // Strip the telemetry-only members; everything else must match byte for
     // byte, including the hop-trace stream.

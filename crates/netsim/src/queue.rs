@@ -116,7 +116,8 @@ impl<T> EventQueue<T> {
     }
 
     /// Deepest the queue has ever been over its lifetime (a self-profiling
-    /// gauge, surfaced in the run artifact's `"prof"` member).
+    /// gauge, the `queue.high_water` counter of the run artifact's `"prof"`
+    /// snapshot).
     pub fn high_water_mark(&self) -> usize {
         self.high_water
     }

@@ -6,6 +6,8 @@
 //! 12.5 % while keeping the whole table a flat 500-slot array — recording is
 //! a couple of shifts, no allocation, no floating point.
 
+use crate::merge_by_key;
+
 /// Sub-bucket resolution: 2^3 = 8 sub-buckets per octave.
 const SUB_BITS: u32 = 3;
 const SUB: u64 = 1 << SUB_BITS;
@@ -101,45 +103,6 @@ impl Histogram {
         (self.count > 0).then_some(self.max)
     }
 
-    /// Mean of recorded samples (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Folds another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum = self.sum.wrapping_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    /// The `q`-quantile (`0.0..=1.0`) as a bucket lower bound, clamped to the
-    /// exactly-tracked `[min, max]` range. `None` when empty.
-    pub fn quantile(&self, q: f64) -> Option<u64> {
-        if self.count == 0 {
-            return None;
-        }
-        let q = q.clamp(0.0, 1.0);
-        // Rank of the sample the quantile falls on (nearest-rank).
-        let target = ((q * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return Some(bucket_lower_bound(i).clamp(self.min, self.max));
-            }
-        }
-        Some(self.max)
-    }
-
     /// Non-empty buckets as `(lower_bound, count)`, ascending.
     pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
         self.counts
@@ -152,30 +115,28 @@ impl Histogram {
 
     /// Freezes the histogram into a serialisable snapshot.
     pub fn snapshot(&self) -> HistSnapshot {
-        HistSnapshot {
+        let mut s = HistSnapshot {
             count: self.count,
             sum: self.sum,
             min: self.min(),
             max: self.max(),
-            p50: self.quantile(0.5),
-            p90: self.quantile(0.9),
-            p99: self.quantile(0.99),
+            p50: None,
+            p90: None,
+            p99: None,
             buckets: self.nonzero_buckets(),
-        }
+        };
+        s.set_quantiles();
+        s
     }
 }
 
 impl HistSnapshot {
-    /// Nearest-rank `q`-quantile recomputed from the snapshot's buckets,
-    /// clamped to the exact `[min, max]` range (mirrors
-    /// [`Histogram::quantile`]).
-    fn quantile_from_buckets(&self, q: f64) -> Option<u64> {
-        if self.count == 0 {
-            return None;
-        }
+    /// The `q`-quantile (`0.0..=1.0`) by nearest rank over the buckets, as a
+    /// bucket lower bound clamped to the exact `[min, max]` range. `None`
+    /// when empty.
+    fn quantile(&self, q: f64) -> Option<u64> {
         let (min, max) = (self.min?, self.max?);
-        let q = q.clamp(0.0, 1.0);
-        let target = ((q * self.count as f64).ceil() as u64).max(1);
+        let target = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
         let mut seen = 0u64;
         for &(lb, c) in &self.buckets {
             seen += c;
@@ -184,6 +145,12 @@ impl HistSnapshot {
             }
         }
         Some(max)
+    }
+
+    fn set_quantiles(&mut self) {
+        self.p50 = self.quantile(0.5);
+        self.p90 = self.quantile(0.9);
+        self.p99 = self.quantile(0.99);
     }
 
     /// Folds another snapshot into this one, as if every sample behind both
@@ -195,38 +162,10 @@ impl HistSnapshot {
         if other.count == 0 {
             return;
         }
-        // Merge-join the two ascending bucket lists.
         let mut merged = Vec::with_capacity(self.buckets.len() + other.buckets.len());
-        let (mut a, mut b) = (
-            self.buckets.iter().peekable(),
-            other.buckets.iter().peekable(),
-        );
-        loop {
-            match (a.peek(), b.peek()) {
-                (Some(&&(la, ca)), Some(&&(lb, cb))) => {
-                    if la < lb {
-                        merged.push((la, ca));
-                        a.next();
-                    } else if lb < la {
-                        merged.push((lb, cb));
-                        b.next();
-                    } else {
-                        merged.push((la, ca + cb));
-                        a.next();
-                        b.next();
-                    }
-                }
-                (Some(&&x), None) => {
-                    merged.push(x);
-                    a.next();
-                }
-                (None, Some(&&x)) => {
-                    merged.push(x);
-                    b.next();
-                }
-                (None, None) => break,
-            }
-        }
+        merge_by_key(&self.buckets, &other.buckets, |&lb, a, b| {
+            merged.push((lb, a.unwrap_or(&0) + b.unwrap_or(&0)));
+        });
         self.buckets = merged;
         self.count += other.count;
         self.sum = self.sum.wrapping_add(other.sum);
@@ -238,9 +177,7 @@ impl HistSnapshot {
             (Some(x), Some(y)) => Some(x.max(y)),
             (x, y) => x.or(y),
         };
-        self.p50 = self.quantile_from_buckets(0.5);
-        self.p90 = self.quantile_from_buckets(0.9);
-        self.p99 = self.quantile_from_buckets(0.99);
+        self.set_quantiles();
     }
 }
 
@@ -323,8 +260,8 @@ mod tests {
         assert_eq!(h.count(), 0);
         assert_eq!(h.min(), None);
         assert_eq!(h.max(), None);
-        assert_eq!(h.quantile(0.5), None);
-        assert_eq!(h.mean(), 0.0);
+        let s = h.snapshot();
+        assert_eq!((s.p50, s.p90, s.p99), (None, None, None));
         assert!(h.nonzero_buckets().is_empty());
     }
 
@@ -337,14 +274,15 @@ mod tests {
         assert_eq!(h.count(), 1000);
         assert_eq!(h.min(), Some(1));
         assert_eq!(h.max(), Some(1000));
-        let p50 = h.quantile(0.5).unwrap();
+        let s = h.snapshot();
+        let p50 = s.p50.unwrap();
         assert!((450..=560).contains(&p50), "p50 {p50}");
-        let p99 = h.quantile(0.99).unwrap();
+        let p99 = s.p99.unwrap();
         assert!((875..=1000).contains(&p99), "p99 {p99}");
-        assert_eq!(h.quantile(0.0), Some(1));
+        assert_eq!(s.quantile(0.0), Some(1));
         assert_eq!(
-            h.quantile(1.0),
-            Some(h.quantile(1.0).unwrap().clamp(1, 1000))
+            s.quantile(1.0),
+            Some(s.quantile(1.0).unwrap().clamp(1, 1000))
         );
     }
 
@@ -352,8 +290,9 @@ mod tests {
     fn single_sample_quantiles_are_exact() {
         let mut h = Histogram::new();
         h.record(777);
+        let s = h.snapshot();
         for q in [0.0, 0.5, 0.99, 1.0] {
-            assert_eq!(h.quantile(q), Some(777));
+            assert_eq!(s.quantile(q), Some(777));
         }
     }
 
@@ -371,13 +310,18 @@ mod tests {
             }
             all.record(x);
         }
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert_eq!(a.sum(), all.sum());
-        assert_eq!(a.min(), all.min());
-        assert_eq!(a.max(), all.max());
-        assert_eq!(a.nonzero_buckets(), all.nonzero_buckets());
-        assert_eq!(a.quantile(0.9), all.quantile(0.9));
+        let mut merged = a.snapshot();
+        merged.merge(&b.snapshot());
+        let all = all.snapshot();
+        assert_eq!(merged.count, all.count);
+        assert_eq!(merged.sum, all.sum);
+        assert_eq!((merged.min, merged.max), (all.min, all.max));
+        assert_eq!(merged.buckets, all.buckets);
+        assert_eq!(merged.quantile(0.9), all.quantile(0.9));
+        assert_eq!(
+            (merged.p50, merged.p90, merged.p99),
+            (all.p50, all.p90, all.p99)
+        );
     }
 
     #[test]
@@ -385,28 +329,34 @@ mod tests {
         let mut a = Histogram::new();
         a.record(42);
         let before = a.snapshot();
-        a.merge(&Histogram::new());
-        assert_eq!(a.snapshot(), before);
-        let mut e = Histogram::new();
-        e.merge(&a);
-        assert_eq!(e.snapshot(), before);
+        let mut s = before.clone();
+        s.merge(&Histogram::new().snapshot());
+        assert_eq!(s, before);
+        let mut e = Histogram::new().snapshot();
+        e.merge(&before);
+        assert_eq!(e, before);
+        let mut ee = Histogram::new().snapshot();
+        ee.merge(&Histogram::new().snapshot());
+        assert_eq!(ee, Histogram::new().snapshot());
     }
 
     #[test]
     fn snapshot_merge_matches_histogram_merge() {
         let mut a = Histogram::new();
         let mut b = Histogram::new();
+        let mut all = Histogram::new();
         for v in 0..400u64 {
-            if v % 3 == 0 {
-                a.record(v * 17 % 5011);
+            let (h, x) = if v % 3 == 0 {
+                (&mut a, v * 17 % 5011)
             } else {
-                b.record(v * 29 % 7919);
-            }
+                (&mut b, v * 29 % 7919)
+            };
+            h.record(x);
+            all.record(x);
         }
         let mut merged_snap = a.snapshot();
         merged_snap.merge(&b.snapshot());
-        a.merge(&b);
-        assert_eq!(merged_snap, a.snapshot());
+        assert_eq!(merged_snap, all.snapshot());
     }
 
     #[test]
@@ -420,14 +370,5 @@ mod tests {
         let mut e = Histogram::new().snapshot();
         e.merge(&before);
         assert_eq!(e, before);
-    }
-
-    #[test]
-    fn mean_is_exact() {
-        let mut h = Histogram::new();
-        for v in [10, 20, 30] {
-            h.record(v);
-        }
-        assert!((h.mean() - 20.0).abs() < 1e-12);
     }
 }

@@ -15,10 +15,10 @@
 //! * a hand-rolled [`json`] writer for machine-readable artifacts (the
 //!   build environment is offline; no serde).
 //!
-//! Two live-telemetry layers sit on top: [`timeseries`] samples per-interval
-//! metric *deltas* on a clock-driven cadence (the `mspastry-ts/1` artifact),
-//! and [`prof`] accumulates the simulator's own per-event-kind dispatch
-//! counts and wall time (the run artifact's `"prof"` member).
+//! On top, [`timeseries`] samples per-interval metric *deltas* on a
+//! clock-driven cadence (the `mspastry-ts/1` artifact). The simulator's
+//! run-loop self-profile is one more [`Registry`], kept apart from the run's
+//! diagnostic one and serialised with the same [`snapshot_json`] schema.
 //!
 //! A disabled handle ([`Obs::disabled`]) is a `None` — every operation is a
 //! single branch, so instrumented code costs nothing in protocol unit tests
@@ -26,19 +26,18 @@
 
 pub mod hist;
 pub mod json;
-pub mod prof;
 pub mod recorder;
 pub mod registry;
 pub mod timeseries;
 
 pub use hist::{HistSnapshot, Histogram};
 pub use json::JsonWriter;
-pub use prof::{prof_json, KindStat, ProfReport, Profiler};
 pub use recorder::{FlightRecorder, HopEvent, HopKind, NO_PEER};
 pub use registry::{CounterId, HistId, Registry, Snapshot};
 pub use timeseries::{ts_jsonl, TimeSeries, TsWindow, TS_SCHEMA};
 
 use std::cell::RefCell;
+use std::cmp::Ordering;
 use std::rc::Rc;
 
 #[derive(Debug)]
@@ -160,14 +159,6 @@ impl Obs {
         }
     }
 
-    /// The configured trace sampling rate (0.0 when disabled).
-    pub fn trace_sample_rate(&self) -> f64 {
-        match &self.inner {
-            Some(c) => c.recorder.borrow().sample_rate(),
-            None => 0.0,
-        }
-    }
-
     /// Freezes all counters and histograms.
     pub fn snapshot(&self) -> Snapshot {
         match &self.inner {
@@ -229,6 +220,40 @@ fn write_hop_jsonl(out: &mut String, ev: &HopEvent) {
         let _ = write!(out, ",\"note\":\"{note}\"");
     }
     out.push_str("}\n");
+}
+
+/// The one merge walk over two lists of `(key, value)` pairs, each sorted
+/// strictly ascending by key: calls `f` once per distinct key, in ascending
+/// order, with the value from each side that holds it.
+pub(crate) fn merge_by_key<'a, K: Ord, V>(
+    a: &'a [(K, V)],
+    b: &'a [(K, V)],
+    mut f: impl FnMut(&'a K, Option<&'a V>, Option<&'a V>),
+) {
+    let (mut i, mut j) = (0, 0);
+    loop {
+        let ord = match (a.get(i), b.get(j)) {
+            (Some(x), Some(y)) => x.0.cmp(&y.0),
+            (Some(_), None) => Ordering::Less,
+            (None, Some(_)) => Ordering::Greater,
+            (None, None) => return,
+        };
+        match ord {
+            Ordering::Less => {
+                f(&a[i].0, Some(&a[i].1), None);
+                i += 1;
+            }
+            Ordering::Greater => {
+                f(&b[j].0, None, Some(&b[j].1));
+                j += 1;
+            }
+            Ordering::Equal => {
+                f(&a[i].0, Some(&a[i].1), Some(&b[j].1));
+                i += 1;
+                j += 1;
+            }
+        }
+    }
 }
 
 /// Serialises a registry snapshot as a JSON object with `counters` and
@@ -337,6 +362,42 @@ mod tests {
             line,
             "{\"t\":100,\"kind\":\"drop\",\"lookup\":\"cd#7\",\"node\":\"ab\",\"peer\":\"ef\",\"hops\":3,\"attempt\":1,\"detail_us\":250,\"note\":\"no-route\"}\n"
         );
+    }
+
+    #[test]
+    fn merge_by_key_matches_a_btreemap_fold() {
+        use std::collections::BTreeMap;
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        for _ in 0..500 {
+            // Random strictly ascending key lists drawn from a small range,
+            // so the two sides overlap, interleave or run out early.
+            let mut side = |len: u64| {
+                let mut keys: Vec<u64> = (0..next(len)).map(|_| next(40)).collect();
+                keys.sort_unstable();
+                keys.dedup();
+                keys.into_iter()
+                    .map(|k| (k, next(1000)))
+                    .collect::<Vec<_>>()
+            };
+            let (a, b) = (side(30), side(30));
+            let mut walked = Vec::new();
+            merge_by_key(&a, &b, |k, x, y| walked.push((*k, x.copied(), y.copied())));
+            let mut model: BTreeMap<u64, (Option<u64>, Option<u64>)> = BTreeMap::new();
+            for &(k, v) in &a {
+                model.entry(k).or_default().0 = Some(v);
+            }
+            for &(k, v) in &b {
+                model.entry(k).or_default().1 = Some(v);
+            }
+            let expected: Vec<_> = model.into_iter().map(|(k, (x, y))| (k, x, y)).collect();
+            assert_eq!(walked, expected, "a={a:?} b={b:?}");
+        }
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! construction), so the hot path is an index into a flat vector.
 
 use crate::hist::{HistSnapshot, Histogram};
+use crate::merge_by_key;
 use std::cell::RefCell;
 use std::collections::HashMap;
 
@@ -143,57 +144,19 @@ impl Snapshot {
     /// sweep registered which metrics.
     pub fn merge(&mut self, other: &Snapshot) {
         let mut counters = Vec::with_capacity(self.counters.len().max(other.counters.len()));
-        let (mut a, mut b) = (
-            self.counters.drain(..).peekable(),
-            other.counters.iter().peekable(),
-        );
-        loop {
-            match (a.peek(), b.peek()) {
-                (Some((na, _)), Some((nb, _))) => {
-                    if na < nb {
-                        counters.push(a.next().unwrap());
-                    } else if nb < na {
-                        counters.push(b.next().unwrap().clone());
-                    } else {
-                        let (name, va) = a.next().unwrap();
-                        let (_, vb) = b.next().unwrap();
-                        counters.push((name, va + vb));
-                    }
-                }
-                (Some(_), None) => counters.push(a.next().unwrap()),
-                (None, Some(_)) => counters.push(b.next().unwrap().clone()),
-                (None, None) => break,
+        merge_by_key(&self.counters, &other.counters, |name, a, b| {
+            counters.push((name.clone(), a.unwrap_or(&0) + b.unwrap_or(&0)));
+        });
+        let mut histograms = Vec::with_capacity(self.histograms.len().max(other.histograms.len()));
+        merge_by_key(&self.histograms, &other.histograms, |name, a, b| {
+            let mut h = a.or(b).expect("one side holds the key").clone();
+            if let (Some(_), Some(b)) = (a, b) {
+                h.merge(b);
             }
-        }
-        drop(a);
+            histograms.push((name.clone(), h));
+        });
         self.counters = counters;
-
-        let mut hists = Vec::with_capacity(self.histograms.len().max(other.histograms.len()));
-        let (mut a, mut b) = (
-            self.histograms.drain(..).peekable(),
-            other.histograms.iter().peekable(),
-        );
-        loop {
-            match (a.peek(), b.peek()) {
-                (Some((na, _)), Some((nb, _))) => {
-                    if na < nb {
-                        hists.push(a.next().unwrap());
-                    } else if nb < na {
-                        hists.push(b.next().unwrap().clone());
-                    } else {
-                        let (name, mut ha) = a.next().unwrap();
-                        let (_, hb) = b.next().unwrap();
-                        ha.merge(hb);
-                        hists.push((name, ha));
-                    }
-                }
-                (Some(_), None) => hists.push(a.next().unwrap()),
-                (None, Some(_)) => hists.push(b.next().unwrap().clone()),
-                (None, None) => break,
-            }
-        }
-        drop(a);
-        self.histograms = hists;
+        self.histograms = histograms;
     }
 }
 

@@ -18,6 +18,7 @@
 //! wants the end of the run.
 
 use crate::json::JsonWriter;
+use crate::merge_by_key;
 use crate::registry::Snapshot;
 use std::collections::VecDeque;
 
@@ -125,55 +126,26 @@ impl TimeSeries {
 /// delta against 0.
 fn delta_counters(prev: &Snapshot, cur: &Snapshot) -> Vec<(String, u64)> {
     let mut out = Vec::new();
-    let mut p = prev.counters.iter().peekable();
-    for (name, v) in &cur.counters {
-        let mut base = 0;
-        while let Some((pn, pv)) = p.peek() {
-            match pn.as_str().cmp(name.as_str()) {
-                std::cmp::Ordering::Less => {
-                    p.next();
-                }
-                std::cmp::Ordering::Equal => {
-                    base = *pv;
-                    p.next();
-                    break;
-                }
-                std::cmp::Ordering::Greater => break,
-            }
-        }
-        let d = v.wrapping_sub(base);
+    merge_by_key(&prev.counters, &cur.counters, |name, base, v| {
+        let d = v.map_or(0, |v| v.wrapping_sub(*base.unwrap_or(&0)));
         if d != 0 {
             out.push((name.clone(), d));
         }
-    }
+    });
     out
 }
 
 /// Name-sorted `(count, sum)` histogram deltas between two snapshots.
 fn delta_histograms(prev: &Snapshot, cur: &Snapshot) -> Vec<(String, u64, u64)> {
     let mut out = Vec::new();
-    let mut p = prev.histograms.iter().peekable();
-    for (name, h) in &cur.histograms {
-        let (mut base_count, mut base_sum) = (0, 0);
-        while let Some((pn, ph)) = p.peek() {
-            match pn.as_str().cmp(name.as_str()) {
-                std::cmp::Ordering::Less => {
-                    p.next();
-                }
-                std::cmp::Ordering::Equal => {
-                    base_count = ph.count;
-                    base_sum = ph.sum;
-                    p.next();
-                    break;
-                }
-                std::cmp::Ordering::Greater => break,
-            }
-        }
+    merge_by_key(&prev.histograms, &cur.histograms, |name, base, h| {
+        let Some(h) = h else { return };
+        let (base_count, base_sum) = base.map_or((0, 0), |b| (b.count, b.sum));
         let d_count = h.count.wrapping_sub(base_count);
         if d_count != 0 {
             out.push((name.clone(), d_count, h.sum.wrapping_sub(base_sum)));
         }
-    }
+    });
     out
 }
 

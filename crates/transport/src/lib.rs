@@ -422,13 +422,12 @@ impl EventLoop {
             // Incoming datagrams (the socket read timeout paces the loop).
             match self.io.socket.recv_from(&mut self.buf) {
                 Ok((n, from_addr)) => {
-                    let bytes = self.buf[..n].to_vec();
                     self.io.obs.inc(self.io.c_rx);
                     self.io.obs.add(self.io.c_bytes_rx, n as u64);
                     if let Some(t) = self.telem.as_mut() {
                         t.last_rx = Some(Instant::now());
                     }
-                    if let Ok(env) = Envelope::decode(&bytes) {
+                    if let Ok(env) = Envelope::decode(&self.buf[..n]) {
                         self.io.addrs.insert(env.sender.0, from_addr);
                         for (id, addr) in &env.hints {
                             self.io.addrs.entry(id.0).or_insert(*addr);

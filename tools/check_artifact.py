@@ -14,9 +14,12 @@ and an armed RTO on every forward). With --timeseries, also checks the
 `mspastry-ts/1` JSONL written by `--timeseries`: header consistent with
 the run artifact's summary, contiguous non-overlapping windows, delta
 counters strictly positive, and histogram deltas carrying both count
-and sum. If the run artifact has a `prof` member (from `--profile`),
-its internal invariants are checked too. Exits non-zero on any
-violation.
+and sum. Every registry snapshot (`diag`, and `prof` from `--profile`)
+gets the same checks: each histogram's bucket counts sum to its count
+and its quantiles lie in order within [min, max]. `prof` must also hold
+every event kind, and its per-kind counts must sum to `run.sim_events`
+minus one (the final `End` event is not profiled). Exits non-zero on
+any violation.
 """
 
 import csv
@@ -61,9 +64,7 @@ def check_sweep(path, doc):
                 fail(f"metric {name!r}: mean {m['mean']} does not match values")
             if m["stddev"] < 0 or (n_seeds == 1 and m["stddev"] != 0):
                 fail(f"metric {name!r}: bad stddev {m['stddev']}")
-        diag = p["diag"]
-        if "counters" not in diag or "histograms" not in diag:
-            fail(f"point {p['label']!r}: diag snapshot missing counters/histograms")
+        check_snapshot(f"point {p['label']!r}: diag", p["diag"])
     print(f"check_artifact: {path}: schema ok, scenario={doc['scenario']!r}, "
           f"{len(points)} points x {n_seeds} seeds, "
           f"{len(points[0]['metrics'])} metrics/point")
@@ -124,42 +125,56 @@ def check_run(path):
     if report["issued"] <= 0:
         fail("report.issued is zero — run produced no workload")
     diag = doc["diag"]
-    if "counters" not in diag or "histograms" not in diag:
-        fail("diag snapshot missing counters/histograms")
+    check_snapshot("diag", diag)
     for hist in ("lookup.latency_us", "lookup.hops", "node.rtt_sample_us"):
         if hist not in diag["histograms"]:
             fail(f"diag missing histogram {hist!r}")
-    h = diag["histograms"]["lookup.latency_us"]
-    if h["count"] != sum(c for _, c in h["buckets"]):
-        fail("histogram bucket counts do not sum to count")
     if "prof" in doc:
-        check_prof(doc["prof"])
+        check_prof(doc["prof"], doc["run"]["sim_events"])
     print(f"check_artifact: {path}: schema ok, issued={report['issued']}, "
           f"delivered={report['delivered']}, counters={len(diag['counters'])}, "
           f"histograms={len(diag['histograms'])}")
     return doc
 
 
-def check_prof(prof):
-    for key in ("wall_us", "events", "pop_ns", "queue", "kinds"):
-        if key not in prof:
-            fail(f"prof missing {key!r}")
-    for key in ("depth_mean", "depth_max", "depth_samples"):
-        if key not in prof["queue"]:
-            fail(f"prof.queue missing {key!r}")
-    if prof["events"] <= 0:
-        fail("prof.events is zero — profiler saw no events")
-    per_kind = 0
-    for name, k in prof["kinds"].items():
-        if k.get("count", 0) <= 0 or k.get("ns", -1) < 0:
-            fail(f"prof kind {name!r} has bad count/ns: {k}")
-        per_kind += k["count"]
-    if per_kind != prof["events"]:
-        fail(f"prof per-kind counts sum to {per_kind}, not events={prof['events']}")
-    if prof["queue"]["depth_max"] < prof["queue"]["depth_mean"]:
-        fail("prof.queue depth_max below depth_mean")
-    print(f"check_artifact: prof ok, {prof['events']} events across "
-          f"{len(prof['kinds'])} kinds")
+def check_snapshot(where, snap):
+    """Checks one `snapshot_json` object (counters and histograms)."""
+    if "counters" not in snap or "histograms" not in snap:
+        fail(f"{where} snapshot missing counters/histograms")
+    for name, h in snap["histograms"].items():
+        for key in ("count", "sum", "min", "max", "p50", "p90", "p99", "buckets"):
+            if key not in h:
+                fail(f"{where} histogram {name!r} missing {key!r}")
+        if h["count"] != sum(c for _, c in h["buckets"]):
+            fail(f"{where} histogram {name!r}: bucket counts do not sum to count")
+        if h["count"] > 0 and not (
+                h["min"] <= h["p50"] <= h["p90"] <= h["p99"] <= h["max"]):
+            fail(f"{where} histogram {name!r}: quantiles out of order")
+
+
+PROF_KINDS = ("msg", "timer", "join", "fail", "next-lookup", "scripted", "outage")
+
+
+def check_prof(prof, sim_events):
+    check_snapshot("prof", prof)
+    hists, counters = prof["histograms"], prof["counters"]
+    for name in [f"event_ns.{k}" for k in PROF_KINDS] + ["queue.pop_ns", "queue.depth"]:
+        if name not in hists:
+            fail(f"prof missing histogram {name!r}")
+    for name in ("wall_us", "queue.high_water"):
+        if name not in counters:
+            fail(f"prof missing counter {name!r}")
+    kinds = {n: h for n, h in hists.items() if n.startswith("event_ns.")}
+    events = sum(h["count"] for h in kinds.values())
+    if events != sim_events - 1:
+        fail(f"prof per-kind counts sum to {events}, not run.sim_events - 1 = {sim_events - 1}")
+    depth = hists["queue.depth"]
+    if depth["count"] != events:
+        fail(f"prof queue.depth has {depth['count']} samples for {events} events")
+    if events and depth["max"] > counters["queue.high_water"]:
+        fail("prof queue.depth max above queue.high_water")
+    print(f"check_artifact: prof ok, {events} events across "
+          f"{sum(1 for h in kinds.values() if h['count'])} kinds")
 
 
 def check_timeseries(path, summary):
